@@ -95,4 +95,7 @@ val prune_sub_power : t -> eps:float -> Sol.t array -> int -> Sol.t array
     their running-max RAT prefilter ({!Dominance.Rat_prefilter}), 4P
     scans every kept candidate with the quantised near-duplicate
     collapse folded into the comparator.  [eps = 0] is the exact
-    frontier; larger ε merges power buckets and can only shrink it. *)
+    frontier; larger ε merges power buckets and can only shrink it.
+    The power conjunct makes each dominance test rarer, which keeps
+    the RAT prefilter sound; the kept set is a superset of the
+    power-blind one only where the base relation is transitive. *)

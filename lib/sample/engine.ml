@@ -155,35 +155,80 @@ type edge_forms = {
   ef_buf : (Linform.t * Linform.t) array;
 }
 
-(* Prune the [ncand] staged rows in the arena's B stage (load / rat /
-   power / choice / mean keys already filled) down to a fresh frontier,
-   by per-sample dominance counting against the [need] threshold.
-   Under a power-aware objective the comparator additionally requires
-   the dominator to cost no more energy ({!Bufins.Dominance.power_le}
-   at [eps]), with raw power ascending as the ε-independent sort
+(* ---------- the prune kernel ----------
+
+   Lift and merge both prune through [prune]: candidates are described
+   by a row generator [gen c dl dr off] (writing candidate [c]'s
+   per-sample load and RAT to [dl] / [dr] from [off]) and by [nkeys]
+   keys staged per candidate before the sweep, at [nkeys * c]:
+   fl-summed mean load and mean RAT (the sort keys), power, and a
+   sketch — min load, max load, min RAT, max RAT.  Rows are never
+   staged as a block: a row is generated into the kept block at the
+   next free slot when the sweep first needs it (a row compare, or
+   keeping it), so the rows the sweep scans as dominators sit
+   contiguously in kept order, their keys beside them. *)
+
+let nkeys = 7
+
+(* Candidate [c]'s keys from its row at [off].  The sums run in sample
+   order from 0.0: the sort keys' bits, hence the kept order, depend on
+   it. *)
+let record_keys keys ~k c (dl : float array) (dr : float array) off ~power =
+  let l0 = dl.(off) and r0 = dr.(off) in
+  let sl = ref 0.0 and sr = ref 0.0 in
+  let lmin = ref l0 and lmax = ref l0 and rmin = ref r0 and rmax = ref r0 in
+  for t = off to off + k - 1 do
+    let l = dl.(t) and r = dr.(t) in
+    sl := !sl +. l;
+    sr := !sr +. r;
+    if l < !lmin then lmin := l;
+    if l > !lmax then lmax := l;
+    if r < !rmin then rmin := r;
+    if r > !rmax then rmax := r
+  done;
+  let o = nkeys * c in
+  keys.(o) <- !sl /. float_of_int k;
+  keys.(o + 1) <- !sr /. float_of_int k;
+  keys.(o + 2) <- power;
+  keys.(o + 3) <- !lmin;
+  keys.(o + 4) <- !lmax;
+  keys.(o + 5) <- !rmin;
+  keys.(o + 6) <- !rmax
+
+(* Prune [n] candidates (keys staged) down to a fresh frontier by
+   per-sample dominance counting against the [need] threshold, kept in
+   sweep order; [choice c] builds a kept candidate's trail.  Under a
+   power-aware objective the comparator additionally requires the
+   dominator to cost no more energy ({!Bufins.Dominance.power_le} at
+   [eps]), with raw power ascending as the ε-independent sort
    tie-break, so the kept set is the (load, RAT, power) Pareto
-   frontier. *)
-let prune_rows ~k ~need ~power_aware ~eps ar ncand =
-  let exact_need = need >= k in
-  if ncand <= 1 || need > k then
-    Array.init ncand (fun i ->
-        {
-          load = Array.sub (Sarena.b_load ar (ncand * k)) (i * k) k;
-          rat = Array.sub (Sarena.b_rat ar (ncand * k)) (i * k) k;
-          power = (Sarena.b_power ar ncand).(i);
-          choice = (Sarena.b_choice ar ncand ~dummy:(Bufins.Sol.At_sink 0)).(i);
-        })
+   frontier.
+
+   The sweep is the greedy scan over kept candidates, newest first,
+   that {!Bufins.Dominance.sweep} runs ([Rat_prefilter] at need = K,
+   [Scan_kept] below), so kept set, kept order and the count of pairs
+   considered are that sweep's.  At need = K full dominance in every
+   sample rules out NaN in both rows and implies that every order
+   statistic of the dominator's rows ties-or-beats the candidate's, and
+   that its mean RAT is not below the candidate's (fl(x + y) is
+   monotone in each argument while the sums stay numbers; a NaN mean
+   compares false and so rejects nothing).  A pair failing the mean or
+   sketch test is therefore rejected without touching a row.  Below K
+   a dominator may lose in some samples, so both tests are skipped
+   there.  A row compare first probes the sample where the previous
+   compare failed; the verdict is a count over all samples, so the
+   probe order changes no result. *)
+let prune ar ~k ~need ~power_aware ~eps keys ~n ~gen ~choice =
+  if n <= 1 || need > k then
+    Array.init n (fun c ->
+        let load = Array.make k 0.0 and rat = Array.make k 0.0 in
+        gen c load rat 0;
+        { load; rat; power = keys.((nkeys * c) + 2); choice = choice c })
   else begin
     let obs = Obs.Control.on () in
     let t0 = if obs then Obs.Span.now_ns () else 0 in
-    let bl = Sarena.b_load ar (ncand * k) in
-    let br = Sarena.b_rat ar (ncand * k) in
-    let bc = Sarena.b_choice ar ncand ~dummy:(Bufins.Sol.At_sink 0) in
-    let bp = Sarena.b_power ar ncand in
-    let ml = Sarena.mean_load ar ncand in
-    let mr = Sarena.mean_rat ar ncand in
-    let idx = Sarena.perm ar ncand in
-    for i = 0 to ncand - 1 do
+    let idx = Sarena.perm ar n in
+    for i = 0 to n - 1 do
       idx.(i) <- i
     done;
     (* Mean load ascending, mean RAT descending: the stable order the
@@ -191,66 +236,126 @@ let prune_rows ~k ~need ~power_aware ~eps ar ncand =
        representative.  The power path adds raw power ascending — an
        ε-independent order, so growing ε can only merge buckets and
        shrink the kept set. *)
-    Sarena.sort_prefix ar idx ncand ~cmp:(fun a b ->
-        let c = Float.compare ml.(a) ml.(b) in
+    Sarena.sort_prefix ar idx n ~cmp:(fun a b ->
+        let a = nkeys * a and b = nkeys * b in
+        let c = Float.compare keys.(a) keys.(b) in
         if c <> 0 then c
         else begin
-          let c = Float.compare mr.(b) mr.(a) in
+          let c = Float.compare keys.(b + 1) keys.(a + 1) in
           if c <> 0 || not power_aware then c
-          else Float.compare bp.(a) bp.(b)
+          else Float.compare keys.(a + 2) keys.(b + 2)
         end);
-    (* Row j dominates row i when it ties-or-beats it on both axes in
-       at least [need] samples, with early exit both ways. *)
-    let checks = ref 0 in
-    let sample_dom j i =
-      let jo = j * k and io = i * k in
-      let count = ref 0 in
-      let t = ref 0 in
-      while !t < k do
-        (if bl.(jo + !t) <= bl.(io + !t) && br.(jo + !t) >= br.(io + !t)
-         then incr count);
-        if !count >= need || !count + (k - !t - 1) < need then t := k
-        else incr t
-      done;
-      !count >= need
+    let exact = need >= k in
+    let kept = Sarena.kept ar n in
+    (* The kept block: rows at slot [q] of [kl] / [kr] (stride K), their
+       keys at slot [q] of [kk] (stride [nkeys]). *)
+    let kl = ref (Sarena.keep_load ar) and kr = ref (Sarena.keep_rat ar) in
+    let kk = ref (Sarena.keep_keys ar) in
+    let nkept = ref 0 and rat_max = ref neg_infinity in
+    let checks = ref 0 and hint = ref 0 in
+    (* Does kept row [q] dominate the candidate row at offset [io]? *)
+    let row_dominates q io =
+      let kl = !kl and kr = !kr in
+      let jo = q * k in
+      let h = !hint in
+      if exact then
+        kl.(jo + h) <= kl.(io + h)
+        && kr.(jo + h) >= kr.(io + h)
+        && begin
+          let t = ref 0 in
+          while
+            !t < k
+            && kl.(jo + !t) <= kl.(io + !t)
+            && kr.(jo + !t) >= kr.(io + !t)
+          do
+            incr t
+          done;
+          if !t < k then hint := !t;
+          !t >= k
+        end
+      else begin
+        let pass t = kl.(jo + t) <= kl.(io + t) && kr.(jo + t) >= kr.(io + t) in
+        (* Count with early exit both ways: [left] samples unvisited. *)
+        let count = ref (if pass h then 1 else 0) in
+        let left = ref (k - 1) and t = ref 0 in
+        while !count < need && !count + !left >= need do
+          if !t <> h then begin
+            if pass !t then incr count else hint := !t;
+            decr left
+          end;
+          incr t
+        done;
+        !count >= need
+      end
     in
-    let dominates =
-      if power_aware then fun j i ->
-        incr checks;
-        Bufins.Dominance.power_le ~eps bp.(j) bp.(i) && sample_dom j i
-      else fun j i ->
-        incr checks;
-        sample_dom j i
-    in
-    (* Full dominance in every sample implies mean-RAT order, so a
-       candidate above the running max of kept mean RATs cannot be
-       dominated; the filter is unsound for need < k and skipped
-       there.  Conjoining the power test only makes dominance rarer,
-       so the filter stays sound on the power path. *)
-    let scan =
-      if exact_need then Bufins.Dominance.Rat_prefilter
-      else Bufins.Dominance.Scan_kept
-    in
-    let kept = Sarena.kept ar ncand in
-    let nkept =
-      Bufins.Dominance.sweep ~order:idx ~n:ncand
-        ~rat_key:(fun i -> mr.(i))
-        ~dominates ~scan ~kept
-    in
+    for s = 0 to n - 1 do
+      let c = idx.(s) in
+      let co = nkeys * c in
+      let mrc = keys.(co + 1) and pwc = keys.(co + 2) in
+      let lminc = keys.(co + 3) and lmaxc = keys.(co + 4) in
+      let rminc = keys.(co + 5) and rmaxc = keys.(co + 6) in
+      let q = !nkept in
+      if
+        nkeys * (q + 1) > Array.length !kk || (q + 1) * k > Array.length !kl
+      then begin
+        Sarena.reserve_keep ar ~row:k ~keys:nkeys (q + 1);
+        kl := Sarena.keep_load ar;
+        kr := Sarena.keep_rat ar;
+        kk := Sarena.keep_keys ar
+      end;
+      let io = q * k and kk = !kk in
+      let staged = ref false in
+      let dominated =
+        if exact && mrc > !rat_max then false
+        else begin
+          let dom = ref false and q = ref (q - 1) in
+          while (not !dom) && !q >= 0 do
+            let o = nkeys * !q in
+            incr checks;
+            if
+              ((not power_aware)
+              || Bufins.Dominance.power_le ~eps kk.(o + 2) pwc)
+              && ((not exact)
+                 || (not (kk.(o + 1) < mrc))
+                    && kk.(o + 3) <= lminc
+                    && kk.(o + 4) <= lmaxc
+                    && kk.(o + 5) >= rminc
+                    && kk.(o + 6) >= rmaxc)
+            then begin
+              if not !staged then begin
+                gen c !kl !kr io;
+                staged := true
+              end;
+              dom := row_dominates !q io
+            end;
+            decr q
+          done;
+          !dom
+        end
+      in
+      if not dominated then begin
+        if not !staged then gen c !kl !kr io;
+        Array.blit keys co kk (nkeys * q) nkeys;
+        kept.(q) <- c;
+        nkept := q + 1;
+        if mrc > !rat_max then rat_max := mrc
+      end
+    done;
+    let nkept = !nkept and kl = !kl and kr = !kr in
     let out =
       Array.init nkept (fun s ->
-          let i = kept.(s) in
+          let c = kept.(s) in
           {
-            load = Array.sub bl (i * k) k;
-            rat = Array.sub br (i * k) k;
-            power = bp.(i);
-            choice = bc.(i);
+            load = Array.sub kl (s * k) k;
+            rat = Array.sub kr (s * k) k;
+            power = keys.((nkeys * c) + 2);
+            choice = choice c;
           })
     in
     if obs then begin
-      Obs.Counters.incr obs_generated ncand;
+      Obs.Counters.incr obs_generated n;
       Obs.Counters.incr obs_kept nkept;
-      Obs.Counters.incr obs_pruned (ncand - nkept);
+      Obs.Counters.incr obs_pruned (n - nkept);
       Obs.Counters.incr obs_checks !checks;
       Obs.Counters.observe Obs.Counters.global "sample.frontier" ~lo:0.0
         ~hi:1024.0 ~bins:64
@@ -259,6 +364,25 @@ let prune_rows ~k ~need ~power_aware ~eps ar ncand =
     end;
     out
   end
+
+let sweep_rows ~k ~need ~power_aware ~eps ~load ~rat ~power =
+  let n = Array.length power in
+  let ar = Sarena.get () in
+  let keys = Sarena.keys ar (nkeys * n) in
+  for c = 0 to n - 1 do
+    record_keys keys ~k c load rat (c * k) ~power:power.(c)
+  done;
+  let out =
+    prune ar ~k ~need ~power_aware ~eps keys ~n
+      ~gen:(fun c dl dr off ->
+        Array.blit load (c * k) dl off k;
+        Array.blit rat (c * k) dr off k)
+      ~choice:(fun c -> Bufins.Sol.At_sink c)
+  in
+  Array.map
+    (fun s ->
+      match s.choice with Bufins.Sol.At_sink c -> c | _ -> assert false)
+    out
 
 (* Stage and prune one edge lift into a dual-polarity frontier:
    per-width wired rows (exact per-sample Elmore) for both parities,
@@ -271,8 +395,10 @@ let prune_rows ~k ~need ~power_aware ~eps ar ncand =
    wired-row-major — so duplicate survival matches.
 
    Both parities' wired rows share the arena's A stage (even rows
-   first); each output side stages its candidates in the B stage and
-   prunes to a fresh frontier before the other side re-stages B.
+   first).  Each output side describes its candidates by their source
+   (a wired row, or a wired row and a buffer type), stages their keys
+   and prunes to a fresh frontier; the sweep regenerates a candidate's
+   row from the A stage only when it needs it.
 
    [convex] (Convex_auto insertion at need = k, i.e. relax = 1)
    pre-filters each (type, source-parity) block: a drivable wired row
@@ -324,7 +450,6 @@ let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
      rat' = rat − rL·load − ½·rL·cL.  Even-parity rows first, then
      odd, each side width-major. *)
   let wml = Array.make ntot 0.0 in
-  let wmr = Array.make ntot 0.0 in
   let wpw = Array.make ntot 0.0 in
   let stage_side ~base ~ns (sols : sol array) =
     for lrow = 0 to (nwid * ns) - 1 do
@@ -332,7 +457,7 @@ let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
       let width = lrow / ns in
       let s = sols.(lrow mod ns) in
       let ro = row * k and wo = width * k in
-      let sl = ref 0.0 and sr = ref 0.0 in
+      let sl = ref 0.0 in
       for j = 0 to k - 1 do
         let rlj = rl.(wo + j) and clj = cl.(wo + j) in
         let ld = s.load.(j) +. clj in
@@ -341,11 +466,9 @@ let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
         in
         al.(ro + j) <- ld;
         arr.(ro + j) <- rt;
-        sl := !sl +. ld;
-        sr := !sr +. rt
+        sl := !sl +. ld
       done;
       wml.(row) <- !sl /. float_of_int k;
-      wmr.(row) <- !sr /. float_of_int k;
       wpw.(row) <- s.power;
       ac.(row) <- Bufins.Sol.Wire { node = child; width; from = s.choice }
     done
@@ -443,6 +566,19 @@ let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
       types;
     !c
   in
+  (* Candidate sources: [row * stride + bi + 1], bi = -1 for the wired
+     row itself. *)
+  let stride = nlib + 1 in
+  (* Eq. 35-36 per sample for a buffered row: rat' = rat − R_b·load −
+     T_b, load' = C_b. *)
+  let gen_buffered row bi (dl : float array) (dr : float array) off =
+    let ro = row * k and bo = bi * k in
+    let r = res.(bi) in
+    for j = 0 to k - 1 do
+      dl.(off + j) <- cb.(bo + j);
+      dr.(off + j) <- arr.(ro + j) -. (r *. al.(ro + j)) -. tb.(bo + j)
+    done
+  in
   (* Build one output side: wired rows [wlo, whi) reversed, then
      buffered rows — same-parity types over [wlo, whi), flip types
      over the opposite block [xlo, xhi), wired-row-major in library
@@ -455,48 +591,26 @@ let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
     in
     if ncand = 0 then [||]
     else begin
-      let bl = Sarena.b_load ar (ncand * k) in
-      let br = Sarena.b_rat ar (ncand * k) in
-      let bc = Sarena.b_choice ar ncand ~dummy:(Bufins.Sol.At_sink 0) in
-      let bpw = Sarena.b_power ar ncand in
-      let ml = Sarena.mean_load ar ncand in
-      let mr = Sarena.mean_rat ar ncand in
+      let keys = Sarena.keys ar (nkeys * ncand) in
+      let cand = Sarena.cand ar ncand in
       for lrow = 0 to nw_side - 1 do
         let row = wlo + lrow in
-        let dst = nw_side - 1 - lrow in
-        Array.blit al (row * k) bl (dst * k) k;
-        Array.blit arr (row * k) br (dst * k) k;
-        bc.(dst) <- ac.(row);
-        bpw.(dst) <- wpw.(row);
-        ml.(dst) <- wml.(row);
-        mr.(dst) <- wmr.(row)
+        let c = nw_side - 1 - lrow in
+        cand.(c) <- row * stride;
+        record_keys keys ~k c al arr (row * k) ~power:wpw.(row)
       done;
+      let sl = Sarena.row_load ar k and sr = Sarena.row_rat ar k in
       let next = ref nw_side in
       let emit_block ~lo ~hi types =
         for row = lo to hi - 1 do
           Array.iter
             (fun bi ->
               if keep bi row then begin
-                let dst = !next in
-                let dof = dst * k and ro = row * k and bo = bi * k in
-                let r = res.(bi) in
-                let sl = ref 0.0 and sr = ref 0.0 in
-                (* Eq. 35-36 per sample: rat' = rat − R_b·load − T_b,
-                   load' = C_b. *)
-                for j = 0 to k - 1 do
-                  let ld = cb.(bo + j) in
-                  let rt = arr.(ro + j) -. (r *. al.(ro + j)) -. tb.(bo + j) in
-                  bl.(dof + j) <- ld;
-                  br.(dof + j) <- rt;
-                  sl := !sl +. ld;
-                  sr := !sr +. rt
-                done;
-                ml.(dst) <- !sl /. float_of_int k;
-                mr.(dst) <- !sr /. float_of_int k;
-                bpw.(dst) <- wpw.(row) +. energies.(bi);
-                bc.(dst) <-
-                  Bufins.Sol.Buffered
-                    { node = child; buffer = bi; from = ac.(row) };
+                let c = !next in
+                cand.(c) <- (row * stride) + bi + 1;
+                gen_buffered row bi sl sr 0;
+                record_keys keys ~k c sl sr 0
+                  ~power:(wpw.(row) +. energies.(bi));
                 incr next
               end)
             types
@@ -504,14 +618,27 @@ let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
       in
       emit_block ~lo:wlo ~hi:whi same_types;
       emit_block ~lo:xlo ~hi:xhi flip_types;
-      let out = prune_rows ~k ~need ~power_aware ~eps ar ncand in
+      let out =
+        prune ar ~k ~need ~power_aware ~eps keys ~n:ncand
+          ~gen:(fun c dl dr off ->
+            let row = cand.(c) / stride and bi = (cand.(c) mod stride) - 1 in
+            if bi < 0 then begin
+              Array.blit al (row * k) dl off k;
+              Array.blit arr (row * k) dr off k
+            end
+            else gen_buffered row bi dl dr off)
+          ~choice:(fun c ->
+            let row = cand.(c) / stride and bi = (cand.(c) mod stride) - 1 in
+            if bi < 0 then ac.(row)
+            else
+              Bufins.Sol.Buffered
+                { node = child; buffer = bi; from = ac.(row) })
+      in
       if obs then begin
         let gen = Array.make nlib 0 and kept = Array.make nlib 0 in
-        for i = nw_side to ncand - 1 do
-          match bc.(i) with
-          | Bufins.Sol.Buffered { buffer; _ } ->
-            gen.(buffer) <- gen.(buffer) + 1
-          | _ -> ()
+        for c = nw_side to ncand - 1 do
+          let bi = (cand.(c) mod stride) - 1 in
+          gen.(bi) <- gen.(bi) + 1
         done;
         Array.iter
           (fun s ->
@@ -544,7 +671,17 @@ let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
   { ev; od }
 
 (* Subtree merge: the full cross product with an exact per-sample min,
-   staged into the arena's B stage and pruned. *)
+   staged lazily.  One pass over the pairs, in the canonical cross
+   merge's newest-first row order (so duplicate survival is stable) and
+   with the budget [check] per pair, computes each row's keys without
+   storing the row; the sweep regenerates the rows it needs and builds
+   [Merged] trails for the kept ones only.
+
+   The per-sample min is [Float.min]: the loops take the strict [<]
+   cases inline and, on a tie or NaN anywhere in the row (where only
+   [Float.min] pins the sign of zero and which NaN), redo the row with
+   [Float.min] itself.  No call inside the loop keeps its accumulators
+   in registers. *)
 let merge_rows ~k ~need ~power_aware ~eps ~node ~check (a : sol array)
     (b : sol array) =
   let na = Array.length a and nb = Array.length b in
@@ -552,41 +689,88 @@ let merge_rows ~k ~need ~power_aware ~eps ~node ~check (a : sol array)
   if ncand = 0 then [||]
   else begin
     let ar = Sarena.get () in
-    let bl = Sarena.b_load ar (ncand * k) in
-    let br = Sarena.b_rat ar (ncand * k) in
-    let bc = Sarena.b_choice ar ncand ~dummy:(Bufins.Sol.At_sink 0) in
-    let bpw = Sarena.b_power ar ncand in
-    let ml = Sarena.mean_load ar ncand in
-    let mr = Sarena.mean_rat ar ncand in
+    let keys = Sarena.keys ar (nkeys * ncand) in
     let count = ref 0 in
     for i = 0 to na - 1 do
-      let sa = a.(i) in
+      let la = a.(i).load and ra = a.(i).rat in
       for j = 0 to nb - 1 do
         incr count;
         check !count;
-        (* Newest-first, matching the canonical cross merge's row
-           order, so duplicate survival is stable. *)
-        let dst = ncand - !count in
-        let dof = dst * k in
-        let sb = b.(j) in
+        let c = ncand - !count in
+        let lb = b.(j).load and rb = b.(j).rat in
+        (* [record_keys] fused with the row's generation. *)
+        let l0 = la.(0) +. lb.(0) and r0 = Float.min ra.(0) rb.(0) in
         let sl = ref 0.0 and sr = ref 0.0 in
+        let lmin = ref l0 and lmax = ref l0 in
+        let rmin = ref r0 and rmax = ref r0 in
+        let strict = ref true in
         for t = 0 to k - 1 do
-          let ld = sa.load.(t) +. sb.load.(t) in
-          let rt = Float.min sa.rat.(t) sb.rat.(t) in
-          bl.(dof + t) <- ld;
-          br.(dof + t) <- rt;
-          sl := !sl +. ld;
-          sr := !sr +. rt
+          let l = la.(t) +. lb.(t) in
+          let x = ra.(t) and y = rb.(t) in
+          let r =
+            if x < y then x
+            else if y < x then y
+            else begin
+              strict := false;
+              x
+            end
+          in
+          sl := !sl +. l;
+          sr := !sr +. r;
+          if l < !lmin then lmin := l;
+          if l > !lmax then lmax := l;
+          if r < !rmin then rmin := r;
+          if r > !rmax then rmax := r
         done;
-        ml.(dst) <- !sl /. float_of_int k;
-        mr.(dst) <- !sr /. float_of_int k;
-        bpw.(dst) <- sa.power +. sb.power;
-        bc.(dst) <-
-          Bufins.Sol.Merged { node; left = sa.choice; right = sb.choice }
+        if not !strict then begin
+          sr := 0.0;
+          rmin := r0;
+          rmax := r0;
+          for t = 0 to k - 1 do
+            let r = Float.min ra.(t) rb.(t) in
+            sr := !sr +. r;
+            if r < !rmin then rmin := r;
+            if r > !rmax then rmax := r
+          done
+        end;
+        let o = nkeys * c in
+        keys.(o) <- !sl /. float_of_int k;
+        keys.(o + 1) <- !sr /. float_of_int k;
+        keys.(o + 2) <- a.(i).power +. b.(j).power;
+        keys.(o + 3) <- !lmin;
+        keys.(o + 4) <- !lmax;
+        keys.(o + 5) <- !rmin;
+        keys.(o + 6) <- !rmax
       done
     done;
     if Obs.Control.on () then Obs.Counters.incr obs_merged ncand;
-    prune_rows ~k ~need ~power_aware ~eps ar ncand
+    (* Candidate [c] is pair number [ncand - 1 - c] in row-major
+       order. *)
+    let gen c (dl : float array) (dr : float array) off =
+      let m = ncand - 1 - c in
+      let sa = a.(m / nb) and sb = b.(m mod nb) in
+      let la = sa.load and lb = sb.load and ra = sa.rat and rb = sb.rat in
+      let strict = ref true in
+      for t = 0 to k - 1 do
+        dl.(off + t) <- la.(t) +. lb.(t);
+        let x = ra.(t) and y = rb.(t) in
+        dr.(off + t) <-
+          (if x < y then x
+           else if y < x then y
+           else begin
+             strict := false;
+             x
+           end)
+      done;
+      if not !strict then
+        for t = 0 to k - 1 do
+          dr.(off + t) <- Float.min ra.(t) rb.(t)
+        done
+    in
+    prune ar ~k ~need ~power_aware ~eps keys ~n:ncand ~gen ~choice:(fun c ->
+        let m = ncand - 1 - c in
+        Bufins.Sol.Merged
+          { node; left = a.(m / nb).choice; right = b.(m mod nb).choice })
   end
 
 (* Parity-matched subtree merge: even rows pair with even, odd with

@@ -113,6 +113,25 @@ type result = {
   stats : Bufins.Engine.stats;
 }
 
+val sweep_rows :
+  k:int ->
+  need:int ->
+  power_aware:bool ->
+  eps:float ->
+  load:float array ->
+  rat:float array ->
+  power:float array ->
+  int array
+(** The prune kernel every lift and merge runs, on [n] explicit
+    candidates: [load] and [rat] hold one stride-[k] row per candidate,
+    [power] one energy each.  Returns the kept candidates' indices in
+    kept order — for [need <= k] and [n >= 2] the greedy sweep in
+    (mean load ascending, mean RAT descending[, power ascending])
+    stable order, dropping a candidate tie-or-beaten in at least
+    [need] samples (and, when [power_aware], at no more
+    {!Bufins.Dominance.power_le} energy at [eps]) by an earlier kept
+    one; otherwise every index in input order. *)
+
 val default_grain : int
 
 val run :

@@ -1,53 +1,54 @@
 (* Per-domain scratch for the sample engine's hot path, mirroring
    [Bufins.Arena].
 
-   A node's candidate generation stages two row matrices (stride-K
-   float arrays: wired rows, then wired + buffered / merged rows fed to
-   the pruner) plus per-row mean keys, a choice trail per row, and the
-   pruning sweep's permutation / kept / mergesort scratch.  All of it
-   is borrowed from the calling domain's arena for the duration of one
-   lift / merge / prune — there is no suspension point inside those —
-   and grows geometrically to the domain's running peak.  Only the
-   pruned frontier (exact-size [Engine.sol] rows) is freshly
+   A lift stages its wired rows (stride-K float arrays plus a choice
+   per row); every prune stages per-candidate keys (means, power, a
+   min/max sketch; for lifts also an int descriptor naming the row's
+   source) and the sweep's permutation / kept / mergesort scratch.
+   Candidate rows are never staged as a block: a merge computes a
+   row's keys without storing it, a lift from a K-sized scratch row,
+   and the sweep generates the rows it needs into the kept block.  All
+   of it is borrowed from the calling domain's arena for the duration
+   of one lift / merge / prune — there is no suspension point inside
+   those — and grows geometrically to the domain's running peak.  Only
+   the pruned frontier (exact-size [Engine.sol] rows) is freshly
    allocated. *)
 
 type t = {
   mutable a_load : float array; (* wired rows, stride K *)
   mutable a_rat : float array;
   mutable a_choice : Bufins.Sol.choice array;
-  mutable b_load : float array; (* rows handed to the pruner, stride K *)
-  mutable b_rat : float array;
-  mutable b_choice : Bufins.Sol.choice array;
-  mutable b_power : float array; (* per-row accumulated energy, fJ *)
-  mutable mean_load : float array; (* per-row sample means (sort keys) *)
-  mutable mean_rat : float array;
+  mutable row_load : float array; (* one candidate row, length K *)
+  mutable row_rat : float array;
+  mutable keys : float array; (* per-candidate keys *)
+  mutable cand : int array;
+  mutable keep_load : float array; (* kept rows, stride K, in kept order *)
+  mutable keep_rat : float array;
+  mutable keep_keys : float array; (* the kept rows' keys *)
   mutable perm : int array;
   mutable kept : int array;
   mutable sort_tmp : int array;
 }
 
-(* Toggled (only) by the bench harness to measure what the arena saves;
-   disabled arenas hand out fresh buffers per call. *)
-let enabled = ref true
+let key : t Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      {
+        a_load = [||];
+        a_rat = [||];
+        a_choice = [||];
+        row_load = [||];
+        row_rat = [||];
+        keys = [||];
+        cand = [||];
+        keep_load = [||];
+        keep_rat = [||];
+        keep_keys = [||];
+        perm = [||];
+        kept = [||];
+        sort_tmp = [||];
+      })
 
-let create () =
-  {
-    a_load = [||];
-    a_rat = [||];
-    a_choice = [||];
-    b_load = [||];
-    b_rat = [||];
-    b_choice = [||];
-    b_power = [||];
-    mean_load = [||];
-    mean_rat = [||];
-    perm = [||];
-    kept = [||];
-    sort_tmp = [||];
-  }
-
-let key : t Domain.DLS.key = Domain.DLS.new_key create
-let get () = if !enabled then Domain.DLS.get key else create ()
+let get () = Domain.DLS.get key
 
 let cap n =
   let c = ref 16 in
@@ -63,71 +64,57 @@ let note_borrow grew =
   if Obs.Control.on () then
     Obs.Counters.incr (if grew then obs_grow else obs_reuse) 1
 
-let a_load t n =
-  let grew = Array.length t.a_load < n in
-  if grew then t.a_load <- Array.make (cap n) 0.0;
+(* Borrow one buffer of at least [n] entries, replacing it (contents
+   dropped) when too short. *)
+let borrow make get set t n =
+  let a = get t in
+  let grew = Array.length a < n in
+  let a =
+    if grew then begin
+      let a = make (cap n) in
+      set t a;
+      a
+    end
+    else a
+  in
   note_borrow grew;
-  t.a_load
+  a
 
-let a_rat t n =
-  let grew = Array.length t.a_rat < n in
-  if grew then t.a_rat <- Array.make (cap n) 0.0;
-  note_borrow grew;
-  t.a_rat
+let floats get set = borrow (fun n -> Array.make n 0.0) get set
+let ints get set = borrow (fun n -> Array.make n 0) get set
+let a_load = floats (fun t -> t.a_load) (fun t a -> t.a_load <- a)
+let a_rat = floats (fun t -> t.a_rat) (fun t a -> t.a_rat <- a)
 
 let a_choice t n ~dummy =
-  let grew = Array.length t.a_choice < n in
-  if grew then t.a_choice <- Array.make (cap n) dummy;
-  note_borrow grew;
-  t.a_choice
+  borrow (fun n -> Array.make n dummy) (fun t -> t.a_choice)
+    (fun t a -> t.a_choice <- a) t n
 
-let b_load t n =
-  let grew = Array.length t.b_load < n in
-  if grew then t.b_load <- Array.make (cap n) 0.0;
-  note_borrow grew;
-  t.b_load
+let row_load = floats (fun t -> t.row_load) (fun t a -> t.row_load <- a)
+let row_rat = floats (fun t -> t.row_rat) (fun t a -> t.row_rat <- a)
+let keys = floats (fun t -> t.keys) (fun t a -> t.keys <- a)
+let cand = ints (fun t -> t.cand) (fun t a -> t.cand <- a)
+let perm = ints (fun t -> t.perm) (fun t a -> t.perm <- a)
+let kept = ints (fun t -> t.kept) (fun t a -> t.kept <- a)
+let keep_load t = t.keep_load
+let keep_rat t = t.keep_rat
+let keep_keys t = t.keep_keys
 
-let b_rat t n =
-  let grew = Array.length t.b_rat < n in
-  if grew then t.b_rat <- Array.make (cap n) 0.0;
-  note_borrow grew;
-  t.b_rat
-
-let b_choice t n ~dummy =
-  let grew = Array.length t.b_choice < n in
-  if grew then t.b_choice <- Array.make (cap n) dummy;
-  note_borrow grew;
-  t.b_choice
-
-let b_power t n =
-  let grew = Array.length t.b_power < n in
-  if grew then t.b_power <- Array.make (cap n) 0.0;
-  note_borrow grew;
-  t.b_power
-
-let mean_load t n =
-  let grew = Array.length t.mean_load < n in
-  if grew then t.mean_load <- Array.make (cap n) 0.0;
-  note_borrow grew;
-  t.mean_load
-
-let mean_rat t n =
-  let grew = Array.length t.mean_rat < n in
-  if grew then t.mean_rat <- Array.make (cap n) 0.0;
-  note_borrow grew;
-  t.mean_rat
-
-let perm t n =
-  let grew = Array.length t.perm < n in
-  if grew then t.perm <- Array.make (cap n) 0;
-  note_borrow grew;
-  t.perm
-
-let kept t n =
-  let grew = Array.length t.kept < n in
-  if grew then t.kept <- Array.make (cap n) 0;
-  note_borrow grew;
-  t.kept
+let reserve_keep t ~row ~keys slots =
+  if
+    Array.length t.keep_keys < keys * slots
+    || Array.length t.keep_load < row * slots
+  then begin
+    let c = cap slots in
+    let grow a n =
+      let b = Array.make n 0.0 in
+      Array.blit a 0 b 0 (min n (Array.length a));
+      b
+    in
+    t.keep_load <- grow t.keep_load (c * row);
+    t.keep_rat <- grow t.keep_rat (c * row);
+    t.keep_keys <- grow t.keep_keys (c * keys);
+    note_borrow true
+  end
 
 (* Stable bottom-up mergesort of [idx.(0 .. n-1)] — same algorithm as
    [Bufins.Arena.sort_prefix]; stability pins which of several exact

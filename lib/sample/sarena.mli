@@ -1,14 +1,13 @@
 (** Per-domain scratch buffers for the sample engine, mirroring
-    {!Bufins.Arena}: stride-K row matrices for wired and candidate
-    staging, per-row mean keys, choice trails, and the pruning sweep's
-    permutation / kept / mergesort scratch.  Buffers are valid for the
-    duration of one lift / merge / prune call on the borrowing
-    domain. *)
+    {!Bufins.Arena}: the stride-K wired-row stage of a lift, one
+    K-sized candidate scratch row, per-candidate prune keys, the kept
+    block the sweep scans, and the sweep's permutation / kept /
+    mergesort scratch.  Buffers are valid for the duration of one
+    lift / merge / prune call on the borrowing domain; a borrow of
+    [n] entries may return a longer array whose contents are
+    unspecified. *)
 
 type t
-
-val enabled : bool ref
-(** Bench-only toggle; a disabled arena hands out fresh buffers. *)
 
 val get : unit -> t
 (** The calling domain's arena ({!Domain.DLS}). *)
@@ -16,16 +15,27 @@ val get : unit -> t
 val a_load : t -> int -> float array
 val a_rat : t -> int -> float array
 val a_choice : t -> int -> dummy:Bufins.Sol.choice -> Bufins.Sol.choice array
-val b_load : t -> int -> float array
-val b_rat : t -> int -> float array
-val b_choice : t -> int -> dummy:Bufins.Sol.choice -> Bufins.Sol.choice array
 
-val b_power : t -> int -> float array
-(** Per-row accumulated buffer energy (fJ) staged alongside the B rows
-    — the power axis of the power-aware pruning sweep. *)
+val row_load : t -> int -> float array
+val row_rat : t -> int -> float array
+(** One candidate row, generated to compute its keys. *)
 
-val mean_load : t -> int -> float array
-val mean_rat : t -> int -> float array
+val keys : t -> int -> float array
+(** Per-candidate prune keys, laid out by the caller. *)
+
+val cand : t -> int -> int array
+(** Per-candidate source descriptor of a lift. *)
+
+val keep_load : t -> float array
+val keep_rat : t -> float array
+val keep_keys : t -> float array
+
+val reserve_keep : t -> row:int -> keys:int -> int -> unit
+(** [reserve_keep t ~row ~keys slots] grows the kept block to at least
+    [slots] rows of [row] samples each and [keys] keys per row,
+    preserving its contents; the accessors then return the new
+    arrays. *)
+
 val perm : t -> int -> int array
 val kept : t -> int -> int array
 

@@ -4,7 +4,7 @@
    counts and obs), and the dual-polarity frontiers must only ever
    choose assignments whose inverter chains restore sink polarity. *)
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Qseed.to_alcotest
 let tech = Device.Tech.default_65nm
 
 let grid die =

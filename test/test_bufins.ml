@@ -1057,7 +1057,7 @@ let test_arena_off_identical () =
   in
   Alcotest.(check bool) "arena on/off identical" true (on = off)
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Qseed.to_alcotest
 
 let suite =
   [

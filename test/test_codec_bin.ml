@@ -10,7 +10,7 @@
    - the frame decoder resynchronises after an oversized v2 frame and
      reads v1 and v2 frames interleaved on one connection. *)
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Qseed.to_alcotest
 
 (* ---------- generators (trees/assignments come from the v1 suite) ---------- *)
 

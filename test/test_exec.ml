@@ -2,7 +2,7 @@
    domain pool's combinators, its exception contract, the chunk-keyed
    RNG streams, and end-to-end bit-identical parallel Monte Carlo. *)
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Qseed.to_alcotest
 
 (* ---------- combinators vs sequential ---------- *)
 

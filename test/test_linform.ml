@@ -481,7 +481,7 @@ let prop_axpy_shift_fused =
       && Linform.variance fused = Linform.variance unfused
       && Linform.sensitivities fused = Linform.sensitivities unfused)
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Qseed.to_alcotest
 
 let suite =
   [

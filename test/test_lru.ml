@@ -154,7 +154,7 @@ let test_counters_only_from_find () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest model_agreement;
+    Qseed.to_alcotest model_agreement;
     Alcotest.test_case "find refreshes recency, peek does not" `Quick
       test_find_refreshes_peek_does_not;
     Alcotest.test_case "capacity 0 disables the cache" `Quick

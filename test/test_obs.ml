@@ -285,7 +285,7 @@ let test_pool_instrumented () =
               (fun (n, (s : Obs.Counters.hist_stats)) -> (n, s.Obs.Counters.count))
               (Obs.Counters.hist_values Obs.Counters.global))))
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Qseed.to_alcotest
 
 let suite =
   [

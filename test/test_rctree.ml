@@ -249,7 +249,7 @@ let test_io_errors () =
     "node 0 root x 0 y 0\nsink 1 x 1 y 0 parent 0 wire 1 cap 1 rat 0 name a\nsink 2 x 2 y 0 parent 1 wire 1 cap 1 rat 0 name b";
   expect_failure "node 0 root x zero y 0"
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Qseed.to_alcotest
 
 let suite =
   [

@@ -14,7 +14,7 @@
    - the sample fields round-trip through both wire codecs, and a
      sample-free request keeps its exact pre-sample v1 bytes. *)
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Qseed.to_alcotest
 let tech = Device.Tech.default_65nm
 let library = Device.Buffer.default_library
 
@@ -142,6 +142,172 @@ let prop_pruning_preserves_per_sample_optimum =
       = brute.Sample.Engine.root_best_per_sample
       && pruned.Sample.Engine.stats.Bufins.Engine.peak_candidates
          <= brute.Sample.Engine.stats.Bufins.Engine.peak_candidates)
+
+(* ---------- the shared prune kernel ---------- *)
+
+(* Reference: the greedy sweep spelled out.  Sort by (mean load
+   ascending, mean RAT descending[, power ascending]) with fl-summed
+   means, then keep a candidate unless an earlier kept one ties-or-beats
+   it in at least [need] samples (at no more power when power-aware),
+   checking every kept one in O(n²). *)
+let kernel_reference ~k ~need ~power_aware ~eps ~load ~rat ~power =
+  let n = Array.length power in
+  let mean a c =
+    let s = ref 0.0 in
+    for t = 0 to k - 1 do
+      s := !s +. a.((c * k) + t)
+    done;
+    !s /. float_of_int k
+  in
+  let ml = Array.init n (mean load) and mr = Array.init n (mean rat) in
+  let order = Array.init n Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      let c = Float.compare ml.(a) ml.(b) in
+      if c <> 0 then c
+      else
+        let c = Float.compare mr.(b) mr.(a) in
+        if c <> 0 || not power_aware then c
+        else Float.compare power.(a) power.(b))
+    order;
+  let dominates j i =
+    let count = ref 0 in
+    for t = 0 to k - 1 do
+      let jo = (j * k) + t and io = (i * k) + t in
+      if load.(jo) <= load.(io) && rat.(jo) >= rat.(io) then incr count
+    done;
+    !count >= need
+    && ((not power_aware)
+       || Bufins.Dominance.power_le ~eps power.(j) power.(i))
+  in
+  if n <= 1 then Array.init n Fun.id
+  else
+    Array.of_list
+      (Array.fold_left
+         (fun kept i ->
+           if List.exists (fun j -> dominates j i) kept then kept
+           else kept @ [ i ])
+         [] order)
+
+(* Rows on a coarse dyadic grid; some rows copy an earlier row and some
+   reverse one, so exact duplicates and tied means with different rows
+   are both common. *)
+let arb_kernel =
+  let gen =
+    QCheck.Gen.(
+      let* k = int_range 1 6 in
+      let* n = int_range 1 30 in
+      let* need = frequency [ (1, return k); (1, int_range 1 k) ] in
+      let* power_aware = bool in
+      let* eps = oneofl [ 0.0; 0.5 ] in
+      let row = array_repeat k (int_range 0 3) in
+      let* fresh = array_repeat n (pair row row) in
+      let* shape = array_repeat n (pair (int_range 0 5) (int_range 0 1000)) in
+      let* power = array_repeat n (int_range 0 7) in
+      let rows = Array.copy fresh in
+      Array.iteri
+        (fun i (kind, pick) ->
+          if i > 0 then
+            let l, r = rows.(pick mod i) in
+            match kind with
+            | 0 -> rows.(i) <- (l, r)
+            | 1 ->
+              let rev a = Array.init k (fun t -> a.(k - 1 - t)) in
+              rows.(i) <- (rev l, rev r)
+            | _ -> ())
+        shape;
+      let flat f =
+        Array.concat
+          (Array.to_list
+             (Array.map
+                (fun row -> Array.map (fun v -> 0.5 *. float_of_int v) (f row))
+                rows))
+      in
+      return
+        ( k,
+          need,
+          power_aware,
+          eps,
+          flat fst,
+          flat snd,
+          Array.map (fun p -> 0.25 *. float_of_int p) power ))
+  in
+  QCheck.make gen ~print:(fun (k, need, power_aware, eps, load, rat, power) ->
+      let row a c =
+        String.concat ","
+          (List.init k (fun t -> Printf.sprintf "%g" a.((c * k) + t)))
+      in
+      Printf.sprintf "k=%d need=%d power_aware=%b eps=%g rows=%s" k need
+        power_aware eps
+        (String.concat " "
+           (List.init (Array.length power) (fun c ->
+                Printf.sprintf "[%s|%s|%g]" (row load c) (row rat c) power.(c)))))
+
+let prop_kernel_matches_reference =
+  QCheck.Test.make ~count:1000
+    ~name:"prune kernel = naive dominated-by-earlier-kept reference (kept order)"
+    arb_kernel (fun (k, need, power_aware, eps, load, rat, power) ->
+      Sample.Engine.sweep_rows ~k ~need ~power_aware ~eps ~load ~rat ~power
+      = kernel_reference ~k ~need ~power_aware ~eps ~load ~rat ~power)
+
+let test_counters_balance () =
+  (* Every candidate handed to the sweep is kept or pruned; the pairs it
+     considered are counted. *)
+  with_obs true (fun () ->
+      let get name = Obs.Counters.get Obs.Counters.global name in
+      let g0 = get "sample.generated" and k0 = get "sample.kept"
+      and p0 = get "sample.pruned" and c0 = get "sample.dominance_checks" in
+      let die = 4000.0 in
+      let tree =
+        Rctree.Generate.random_steiner ~seed:7 ~sinks:24 ~die_um:die ()
+      in
+      ignore (Sample.Engine.run (config ()) ~model:(model die) tree);
+      let g = get "sample.generated" - g0 and k = get "sample.kept" - k0
+      and p = get "sample.pruned" - p0 in
+      Alcotest.(check bool) "candidates were generated" true (g > 0);
+      Alcotest.(check int) "generated = kept + pruned" g (k + p);
+      Alcotest.(check bool) "dominance checks counted" true
+        (get "sample.dominance_checks" - c0 > 0))
+
+let test_merge_budget_trips () =
+  (* A candidate budget trips inside the first merge whose cross
+     product exceeds it, after exactly limit + 1 pairs, with the
+     canonical engine's message: the lazy merge checks the budget once
+     per pair, in row-major pair order, before staging that pair's
+     keys.  The messages are pinned. *)
+  let die = 4000.0 in
+  let tree = Rctree.Generate.random_steiner ~seed:7 ~sinks:24 ~die_um:die () in
+  List.iter
+    (fun (limit, expect) ->
+      let cfg =
+        {
+          (config ()) with
+          Sample.Engine.budget =
+            {
+              Bufins.Engine.no_budget with
+              Bufins.Engine.max_candidates = Some limit;
+            };
+        }
+      in
+      let msg f =
+        match f () with
+        | _ -> "completed"
+        | exception Bufins.Engine.Budget_exceeded m -> m
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "walk, limit %d" limit)
+        expect
+        (msg (fun () -> Sample.Engine.run cfg ~model:(model die) tree));
+      Alcotest.(check string)
+        (Printf.sprintf "tape, limit %d" limit)
+        expect
+        (msg (fun () ->
+             Sample.Engine.run_tape cfg ~model:(model die)
+               (Compile.Tape.compile tree))))
+    [
+      (40, "candidate limit 40 exceeded at merge at node 4 (41)");
+      (400, "candidate limit 400 exceeded at merge at node 3 (401)");
+    ]
 
 (* ---------- cross-validation against the canonical engines ---------- *)
 
@@ -311,6 +477,11 @@ let suite =
     Alcotest.test_case "engine identical across jobs and obs" `Quick
       test_jobs_and_obs_identical;
     qcheck prop_pruning_preserves_per_sample_optimum;
+    qcheck prop_kernel_matches_reference;
+    Alcotest.test_case "obs counters balance on a live run" `Quick
+      test_counters_balance;
+    Alcotest.test_case "candidate budget trips inside a lazy merge" `Quick
+      test_merge_budget_trips;
     Alcotest.test_case "Nom model reproduces the deterministic optimum" `Quick
       test_nom_model_matches_deterministic_optimum;
     Alcotest.test_case "WID sampled yield tracks the canonical prediction"

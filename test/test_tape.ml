@@ -8,7 +8,7 @@
    and under the task-parallel decomposition at any job count, with
    observability on or off. *)
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Qseed.to_alcotest
 let tech = Device.Tech.default_65nm
 let library = Device.Buffer.default_library
 

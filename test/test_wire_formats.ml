@@ -5,7 +5,7 @@
    must either parse (a structurally valid prefix) or raise `Failure`
    — never any other exception and never a silent crash. *)
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Qseed.to_alcotest
 
 (* ---------- generators ---------- *)
 
