@@ -3,9 +3,10 @@
    Candidate generation and the stable index-permutation sort used by
    pruning need five short-lived arrays per node (key caches, the
    permutation, the kept set, a mergesort scratch) plus two staging
-   buffers of candidates.  Allocating them per node dominated the DP's
-   allocation profile once the canonical-form kernels stopped
-   allocating; instead each domain owns one arena, fetched through
+   buffers of candidates.  Allocating them per node would add to every
+   node's allocation on top of the canonical-form results (which the
+   kernels allocate exactly and which cannot be pooled: they are the
+   DP's output); instead each domain owns one arena, fetched through
    [Domain.DLS], whose buffers grow geometrically to the running peak
    and are reused for every subsequent node that domain processes.
 

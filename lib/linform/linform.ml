@@ -2,9 +2,9 @@
    pair of parallel arrays (sorted ids, float coefficients) instead of
    a boxed (int * float) array.  The coefficient array is an OCaml
    float array — unboxed flat storage — so the merge kernels below
-   never allocate a tuple or a list cell: each binary operation is a
-   count pass over the two sorted id arrays followed by a fill pass
-   writing directly into exactly-sized result arrays.
+   never allocate a tuple or a list cell: each binary operation is one
+   fill pass over the two sorted id arrays into per-domain scratch,
+   copied out into exactly-sized result arrays.
 
    Every kernel reproduces the operand-order float arithmetic of the
    original list-based implementation bit for bit (DP results are
@@ -19,8 +19,17 @@ type t = {
   variance : float;     (* cached sum of squared coefficients *)
 }
 
+(* Float loops below are plain [for]/[while] loops over local refs:
+   without flambda, a float captured by a closure (a local helper, or
+   the function passed to [Array.map]/[Array.fold_left]) or carried in
+   a tuple is boxed once per element. *)
 let variance_of_coefs coefs =
-  Array.fold_left (fun acc a -> acc +. (a *. a)) 0.0 coefs
+  let acc = ref 0.0 in
+  for k = 0 to Array.length coefs - 1 do
+    let a = coefs.(k) in
+    acc := !acc +. (a *. a)
+  done;
+  !acc
 
 let const nominal = { nominal; ids = [||]; coefs = [||]; variance = 0.0 }
 let zero = const 0.0
@@ -66,13 +75,40 @@ let sensitivity f id =
   in
   search 0 n
 
+(* Per-domain scratch for [merge_scaled]'s fill pass: one ids and one
+   coefs buffer, fetched through [Domain.DLS] and grown geometrically
+   to the largest merge seen (never shrunk).  A kernel call borrows
+   them from its first write to its final [Array.sub] and calls no
+   code in between, so within one domain two borrows can only overlap
+   if two systhreads of that domain run Linform at once; no library
+   code does (parallelism is one domain per worker), the same
+   assumption [Bufins.Arena] makes. *)
+type scratch = { mutable s_ids : int array; mutable s_coefs : float array }
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { s_ids = [||]; s_coefs = [||] })
+
+let scratch n =
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.s_ids < n then begin
+    let c = ref 16 in
+    while !c < n do
+      c := !c * 2
+    done;
+    s.s_ids <- Array.make !c 0;
+    s.s_coefs <- Array.make !c 0.0
+  end;
+  s
+
 (* The one merge kernel behind every binary operation: the sensitivity
    vector of [ka*a + kb*b] (for suitable ka/kb this is add, sub, axpy,
-   the first-order product and the tightness-probability blend).  Pass
-   one counts surviving entries, pass two fills the exact-size arrays
-   and accumulates the variance in the same left-to-right order the
-   original implementation used.  Nothing is allocated beyond the two
-   result arrays. *)
+   the first-order product and the tightness-probability blend).  One
+   pass fills the domain's scratch and accumulates the variance in the
+   same left-to-right order the original implementation used; the
+   survivors are then copied out into exact-size result arrays.  Each
+   branch stores its id and yields its value, committed after the
+   branches: a [push] helper would close over [var] and box it (see
+   above). *)
 let merge_scaled ~nominal ka a kb b =
   let aid = a.ids and aco = a.coefs in
   let bid = b.ids and bco = b.coefs in
@@ -85,17 +121,23 @@ let merge_scaled ~nominal ka a kb b =
   else if nb = 0 && ka = 1.0 then
     { nominal; ids = aid; coefs = aco; variance = variance_of_coefs aco }
   else begin
-    (* Count pass. *)
-    let count = ref 0 in
+    let s = scratch (na + nb) in
+    let sid = s.s_ids and sco = s.s_coefs in
+    let var = ref 0.0 in
+    let k = ref 0 in
     let ia = ref 0 and ib = ref 0 in
     while !ia < na || !ib < nb do
+      (* The id goes to slot [!k] before its value is known: a dropped
+         zero leaves [!k] unchanged, so the next survivor overwrites it. *)
       let v =
         if !ia >= na then begin
+          sid.(!k) <- bid.(!ib);
           let v = kb *. bco.(!ib) in
           incr ib;
           v
         end
         else if !ib >= nb then begin
+          sid.(!k) <- aid.(!ia);
           let v = ka *. aco.(!ia) in
           incr ia;
           v
@@ -103,86 +145,71 @@ let merge_scaled ~nominal ka a kb b =
         else
           let i = aid.(!ia) and j = bid.(!ib) in
           if i = j then begin
+            sid.(!k) <- i;
             let v = (ka *. aco.(!ia)) +. (kb *. bco.(!ib)) in
             incr ia;
             incr ib;
             v
           end
           else if i < j then begin
+            sid.(!k) <- i;
             let v = ka *. aco.(!ia) in
             incr ia;
             v
           end
           else begin
+            sid.(!k) <- j;
             let v = kb *. bco.(!ib) in
             incr ib;
             v
           end
       in
-      if v <> 0.0 then incr count
-    done;
-    (* Fill pass. *)
-    let ids = Array.make !count 0 and coefs = Array.make !count 0.0 in
-    let var = ref 0.0 in
-    let k = ref 0 in
-    let push i v =
       if v <> 0.0 then begin
-        ids.(!k) <- i;
-        coefs.(!k) <- v;
+        sco.(!k) <- v;
         var := !var +. (v *. v);
         incr k
       end
-    in
-    ia := 0;
-    ib := 0;
-    while !ia < na || !ib < nb do
-      if !ia >= na then begin
-        push bid.(!ib) (kb *. bco.(!ib));
-        incr ib
-      end
-      else if !ib >= nb then begin
-        push aid.(!ia) (ka *. aco.(!ia));
-        incr ia
-      end
-      else
-        let i = aid.(!ia) and j = bid.(!ib) in
-        if i = j then begin
-          push i ((ka *. aco.(!ia)) +. (kb *. bco.(!ib)));
-          incr ia;
-          incr ib
-        end
-        else if i < j then begin
-          push i (ka *. aco.(!ia));
-          incr ia
-        end
-        else begin
-          push j (kb *. bco.(!ib));
-          incr ib
-        end
     done;
-    { nominal; ids; coefs; variance = !var }
+    let n = !k in
+    {
+      nominal;
+      ids = Array.sub sid 0 n;
+      coefs = Array.sub sco 0 n;
+      variance = !var;
+    }
   end
 
 let add a b = merge_scaled ~nominal:(a.nominal +. b.nominal) 1.0 a 1.0 b
 let sub a b = merge_scaled ~nominal:(a.nominal -. b.nominal) 1.0 a (-1.0) b
 
 let neg a =
+  let n = Array.length a.coefs in
+  let coefs = Array.make n 0.0 in
+  for k = 0 to n - 1 do
+    coefs.(k) <- -.a.coefs.(k)
+  done;
   {
     nominal = -.a.nominal;
     ids = a.ids;
-    coefs = Array.map (fun x -> -.x) a.coefs;
+    coefs;
     variance = variance_of_coefs a.coefs;
   }
 
 let scale k a =
   if k = 0.0 then zero
-  else
+  else begin
+    let n = Array.length a.coefs in
+    let coefs = Array.make n 0.0 in
+    for i = 0 to n - 1 do
+      coefs.(i) <- k *. a.coefs.(i)
+    done;
     {
       nominal = k *. a.nominal;
       ids = a.ids;
-      coefs = Array.map (fun x -> k *. x) a.coefs;
+      coefs;
       variance = k *. k *. a.variance;
     }
+  end
 
 let shift c a = { a with nominal = a.nominal +. c }
 

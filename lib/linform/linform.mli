@@ -15,11 +15,14 @@
     Sensitivity vectors are kept sparse, sorted by id and free of zero
     coefficients, so every binary operation is a linear merge.
     Internally a form is a struct-of-arrays — one sorted [int array] of
-    source ids and one flat [float array] of coefficients — and every
-    merge kernel is a two-pass count-then-fill loop that writes
-    directly into exact-size result arrays: the per-candidate constant
-    factor of the DP inner loop allocates no lists, no tuples and no
-    boxed floats. *)
+    source ids and one flat [float array] of coefficients.  Every merge
+    kernel is one fill pass into the calling domain's scratch buffers,
+    copied out into exact-size result arrays, so an operation allocates
+    its result (two arrays, the record, its boxed floats) plus a small
+    constant, and nothing per element: no lists, no tuples, no boxed
+    floats.  The scratch is per domain ([Domain.DLS]); no library code
+    runs these operations from two systhreads of one domain, and a
+    caller that did would have to serialise them. *)
 
 type t
 
@@ -36,7 +39,8 @@ val of_sorted_arrays : nominal:float -> ids:int array -> coefs:float array -> t
 (** [of_sorted_arrays ~nominal ~ids ~coefs] builds a form directly from
     parallel arrays, taking ownership of them (do not mutate after the
     call).  [ids] must be strictly increasing; zero coefficients are
-    dropped.  This is the allocation-free construction path for callers
+    dropped.  Without zeros it allocates only the record and its boxed
+    floats: the construction path for callers
     that already know the sorted source layout (e.g.
     {!Varmodel.Model.site_device_form}).
     @raise Invalid_argument on unsorted ids or length mismatch. *)

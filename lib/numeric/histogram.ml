@@ -57,16 +57,11 @@ let bin_density h i =
 let density_series h =
   Array.init (bins h) (fun i -> (bin_center h i, bin_density h i))
 
-let percentile h p =
-  if h.total = 0 then invalid_arg "Histogram.percentile: empty histogram";
-  if p < 0.0 || p > 1.0 || Float.is_nan p then
-    invalid_arg "Histogram.percentile: p must be in [0, 1]";
-  (* Rank of the target sample (1-based, nearest-rank rounded up), then
-     a cumulative walk to its bin with linear interpolation inside. *)
-  let rank =
-    let r = int_of_float (ceil (p *. float_of_int h.total)) in
-    if r < 1 then 1 else r
-  in
+let value_at_rank h rank =
+  if rank < 1 || rank > h.total then
+    invalid_arg "Histogram.value_at_rank: rank must be in [1, total]";
+  (* A cumulative walk to the bin holding the rank-th sample, linearly
+     interpolated inside it. *)
   let n = Array.length h.counts in
   let rec find i seen =
     if i >= n - 1 then (n - 1, seen)
@@ -79,3 +74,14 @@ let percentile h p =
     if c = 0 then 1.0 else float_of_int (rank - before) /. float_of_int c
   in
   h.lo +. ((float_of_int i +. frac) *. h.width)
+
+let percentile h p =
+  if h.total = 0 then invalid_arg "Histogram.percentile: empty histogram";
+  if p < 0.0 || p > 1.0 || Float.is_nan p then
+    invalid_arg "Histogram.percentile: p must be in [0, 1]";
+  (* Rank of the target sample: 1-based, nearest-rank rounded up. *)
+  let rank =
+    let r = int_of_float (ceil (p *. float_of_int h.total)) in
+    if r < 1 then 1 else r
+  in
+  value_at_rank h rank

@@ -45,12 +45,18 @@ val bin_density : t -> int -> float
 val density_series : t -> (float * float) array
 (** All (bin center, density) pairs, in increasing x order. *)
 
+val value_at_rank : t -> int -> float
+(** [value_at_rank h r] estimates the [r]-th smallest recorded sample
+    (1-based): a cumulative walk to the bin holding it, linearly
+    interpolated within the bin.  For a sample inside [[lo, hi)] the
+    estimate lies above its bin's lower edge and at most at its upper
+    edge, so it is within one bin width of the sample.
+    @raise Invalid_argument unless [1 <= r <= total h]. *)
+
 val percentile : t -> float -> float
 (** [percentile h p] estimates the [p]-quantile ([p] in [0, 1]) of the
-    recorded samples: a cumulative walk to the bin holding the
-    nearest-rank sample, linearly interpolated within the bin.  The
-    estimate is exact to within one bin width — the serving-latency
-    p50/p95/p99 lines in {!Serve.Metrics} and the load generator share
-    this helper.
+    recorded samples: {!value_at_rank} of the nearest-rank sample.  The
+    estimate is exact to within one bin width; the load generator
+    reports its latency percentiles with it.
     @raise Invalid_argument if the histogram is empty or [p] is outside
     [0, 1]. *)

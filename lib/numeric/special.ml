@@ -7,8 +7,14 @@ let sqrt2 = sqrt 2.0
 let sqrt_pi = sqrt (4.0 *. atan 1.0)
 let inv_sqrt_2pi = 1.0 /. sqrt (8.0 *. atan 1.0)
 
+(* Horner's rule as a plain loop: a fold's closure would box the
+   accumulator once per coefficient on every erfc call. *)
 let polynomial coeffs x =
-  Array.fold_left (fun acc c -> (acc *. x) +. c) 0.0 coeffs
+  let acc = ref 0.0 in
+  for k = 0 to Array.length coeffs - 1 do
+    acc := (!acc *. x) +. coeffs.(k)
+  done;
+  !acc
 
 (* Coefficients for erf(x), |x| <= 0.46875: erf x = x * p1(x^2)/q1(x^2). *)
 let p1 =

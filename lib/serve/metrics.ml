@@ -11,10 +11,13 @@ type t = {
   by_kind : (string, int Atomic.t) Hashtbl.t;
   code_mutex : Mutex.t;
   hist : Numeric.Histogram.t;
+  fine : Numeric.Histogram.t;
   mutable lat_sum : float;
   mutable lat_max : float;
   hist_mutex : Mutex.t;
 }
+
+let fine_hi = 1000.0
 
 let create () =
   {
@@ -30,8 +33,10 @@ let create () =
     by_kind = Hashtbl.create 8;
     code_mutex = Mutex.create ();
     (* 120 bins of 500 ms: interactive requests land in the first few
-       bins, the clamped top bin catches everything slower. *)
+       bins, the clamped top bin catches everything slower.  The
+       sub-second samples also go to 1 ms bins, for percentiles. *)
     hist = Numeric.Histogram.create ~lo:0.0 ~hi:60_000.0 ~bins:120;
+    fine = Numeric.Histogram.create ~lo:0.0 ~hi:fine_hi ~bins:1000;
     lat_sum = 0.0;
     lat_max = 0.0;
     hist_mutex = Mutex.create ();
@@ -48,6 +53,7 @@ let request_ok t ~latency_ms =
   Atomic.incr t.ok;
   Mutex.lock t.hist_mutex;
   Numeric.Histogram.add t.hist latency_ms;
+  if latency_ms < fine_hi then Numeric.Histogram.add t.fine latency_ms;
   t.lat_sum <- t.lat_sum +. latency_ms;
   if latency_ms > t.lat_max then t.lat_max <- latency_ms;
   Mutex.unlock t.hist_mutex
@@ -113,13 +119,21 @@ let render t =
   if total > 0 then begin
     Printf.bprintf buf "latency_ms_mean %.1f\n" (t.lat_sum /. float_of_int total);
     Printf.bprintf buf "latency_ms_max %.1f\n" t.lat_max;
-    (* Histogram-estimated tails, exact to within one 500 ms bin. *)
-    Printf.bprintf buf "latency_ms_p50 %.1f\n"
-      (Numeric.Histogram.percentile t.hist 0.50);
-    Printf.bprintf buf "latency_ms_p95 %.1f\n"
-      (Numeric.Histogram.percentile t.hist 0.95);
-    Printf.bprintf buf "latency_ms_p99 %.1f\n"
-      (Numeric.Histogram.percentile t.hist 0.99);
+    (* Nearest-rank tails: a rank among the sub-second samples is read
+       from the 1 ms bins, any later one from the 500 ms bins (which
+       hold every sample, so the rank carries over).  An estimate can
+       sit up to one bin above its sample, so it is capped at the
+       recorded max. *)
+    let percentile p =
+      let rank = max 1 (int_of_float (ceil (p *. float_of_int total))) in
+      let h =
+        if rank <= Numeric.Histogram.total t.fine then t.fine else t.hist
+      in
+      Float.min (Numeric.Histogram.value_at_rank h rank) t.lat_max
+    in
+    Printf.bprintf buf "latency_ms_p50 %.1f\n" (percentile 0.50);
+    Printf.bprintf buf "latency_ms_p95 %.1f\n" (percentile 0.95);
+    Printf.bprintf buf "latency_ms_p99 %.1f\n" (percentile 0.99);
     for i = 0 to Numeric.Histogram.bins t.hist - 1 do
       let count = Numeric.Histogram.bin_count t.hist i in
       if count > 0 then

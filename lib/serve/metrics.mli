@@ -9,9 +9,11 @@
 type t
 
 val create : unit -> t
-(** Fresh metrics; the latency histogram spans 0–60 000 ms (samples
-    beyond either end are clamped into the outermost bins, so no
-    request is ever lost from the distribution). *)
+(** Fresh metrics; the latency histogram spans 0–60 000 ms in 500 ms
+    bins (samples beyond either end are clamped into the outermost
+    bins, so no request is ever lost from the distribution), and
+    sub-second latencies are also kept in 1 ms bins for the
+    percentiles. *)
 
 val conn_opened : t -> unit
 val conn_closed : t -> unit
@@ -52,20 +54,24 @@ val render : t -> string
     kind_request 7
     kind_stats 1
     latency_ms_count 5
-    latency_ms_mean 41.3
+    latency_ms_mean 40.9
     latency_ms_max 80.1
-    latency_ms_p50 35.0
-    latency_ms_p95 78.2
+    latency_ms_p50 36.0
+    latency_ms_p95 80.1
     latency_ms_p99 80.1
-    latency_ms_bucket 25 3
-    latency_ms_bucket 75 2
+    latency_ms_bucket 250 5
     v}
     [cache_hit_ratio] is hits / (hits + misses), printed only once the
     cache has been consulted at least once.  [error_<code>] lines
     appear only for codes seen, [kind_<kind>] lines only for frame
     kinds seen; the mean/max/percentile and bucket lines only once at
     least one ok response was recorded, bucket lines only for
-    non-empty bins (center, count).  Every [latency_ms_*] line covers
+    non-empty 500 ms bins (center, count).  The percentiles are
+    nearest-rank estimates: within 1 ms of the sample for latencies
+    below 1 s, within 500 ms up to a minute, and never above
+    [latency_ms_max].
+    Every
+    [latency_ms_*] line covers
     successful (ok) responses only — errors are counted in [errors]
     and [error_<code>] but excluded from the latency distribution, so
     [latency_ms_count] equals [ok], not [requests].  The exact key

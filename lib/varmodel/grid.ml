@@ -41,27 +41,62 @@ let region_center g idx =
   ( (float_of_int col +. 0.5) *. g.pitch_um,
     (float_of_int row +. 0.5) *. g.pitch_um )
 
-let weights_at g ~x ~y =
+(* Per-domain scratch for the cells [weights] scans, grown to the
+   largest window seen.  A call borrows it from its first write to its
+   final copy and calls nothing that could re-enter it; like
+   [Linform]'s merge scratch, it assumes no two systhreads of one
+   domain run [weights] at once. *)
+type scratch = { mutable s_idx : int array; mutable s_w : float array }
+
+let scratch_key = Domain.DLS.new_key (fun () -> { s_idx = [||]; s_w = [||] })
+
+let weights g ~x ~y =
   (* Gaussian taper exp(-(d/lambda)^2) with lambda = range/2, so the
      weight at [range_um] is e^-4, effectively zero — "tapers off at a
      distance about 2 mm" for the default 2 mm range. *)
   let lambda = g.range_um /. 2.0 in
   let span = int_of_float (ceil (g.range_um /. g.pitch_um)) in
   let c0 = col_of g x and r0 = row_of g y in
-  let raw = ref [] in
-  for row = max 0 (r0 - span) to min (g.rows - 1) (r0 + span) do
-    for col = max 0 (c0 - span) to min (g.cols - 1) (c0 + span) do
-      let idx = (row * g.cols) + col in
-      let cx, cy = region_center g idx in
+  let rlo = max 0 (r0 - span) and rhi = min (g.rows - 1) (r0 + span) in
+  let clo = max 0 (c0 - span) and chi = min (g.cols - 1) (c0 + span) in
+  let cells = (rhi - rlo + 1) * (chi - clo + 1) in
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.s_idx < cells then begin
+    s.s_idx <- Array.make cells 0;
+    s.s_w <- Array.make cells 0.0
+  end;
+  let idx = s.s_idx and raw = s.s_w in
+  let n = ref 0 in
+  for row = rlo to rhi do
+    for col = clo to chi do
+      (* [region_center]'s arithmetic, inlined so no tuple is built. *)
+      let cx = (float_of_int col +. 0.5) *. g.pitch_um in
+      let cy = (float_of_int row +. 0.5) *. g.pitch_um in
       let d = Float.hypot (cx -. x) (cy -. y) in
       if d <= g.range_um then begin
-        let w = exp (-.(d /. lambda) *. (d /. lambda)) in
-        raw := (idx, w) :: !raw
+        idx.(!n) <- (row * g.cols) + col;
+        raw.(!n) <- exp (-.(d /. lambda) *. (d /. lambda));
+        incr n
       end
     done
   done;
-  let norm =
-    sqrt (List.fold_left (fun acc (_, w) -> acc +. (w *. w)) 0.0 !raw)
-  in
-  (* The containing region is always within range, so norm > 0. *)
-  List.rev_map (fun (idx, w) -> (idx, w /. norm)) !raw
+  let n = !n in
+  (* Summed from the last cell scanned to the first. *)
+  let sq = ref 0.0 in
+  for k = n - 1 downto 0 do
+    let w = raw.(k) in
+    sq := !sq +. (w *. w)
+  done;
+  (* On the die the containing region is always within range, so
+     norm > 0; a point far off the die may have no region in range, and
+     then there is nothing to divide. *)
+  let norm = sqrt !sq in
+  let w = Array.make n 0.0 in
+  for k = 0 to n - 1 do
+    w.(k) <- raw.(k) /. norm
+  done;
+  (Array.sub idx 0 n, w)
+
+let weights_at g ~x ~y =
+  let idx, w = weights g ~x ~y in
+  List.init (Array.length idx) (fun k -> (idx.(k), w.(k)))

@@ -33,7 +33,13 @@ val region_center : t -> int -> float * float
 (** Center coordinates of a region.
     @raise Invalid_argument on an out-of-range index. *)
 
+val weights : t -> x:float -> y:float -> int array * float array
+(** [weights g ~x ~y] is the pair of parallel arrays (region indices
+    ascending, weights) covering every region whose center lies within
+    [range_um] of (x, y).  The weights follow a Gaussian taper in
+    distance and satisfy {m \sum w_i^2 = 1 }.  Both arrays are fresh
+    and exact-size; apart from them the call allocates only a
+    constant. *)
+
 val weights_at : t -> x:float -> y:float -> (int * float) list
-(** [weights_at g ~x ~y] lists (region index, weight) for every region
-    whose center lies within [range_um] of (x, y).  The weights follow
-    a Gaussian taper in distance and satisfy {m \sum w_i^2 = 1 }. *)
+(** {!weights} as a list of (region index, weight) pairs. *)

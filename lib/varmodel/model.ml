@@ -78,7 +78,7 @@ let device_form m ~device_id ~x ~y ~nominal =
    buffer site: the heterogeneity ramp and the normalised spatial
    weights.  Building a form from it is a single pass writing the
    sorted layout [inter-die(0); spatial ids ascending; device id]
-   directly — no list, no sort.  [Grid.weights_at] returns regions in
+   directly — no list, no sort.  [Grid.weights] returns regions in
    ascending index order, so the spatial ids come out sorted; device
    ids are allocated above every spatial id by construction. *)
 type site = {
@@ -91,14 +91,11 @@ let site m ~x ~y =
   match m.mode with
   | Nom | D2d -> { s_scale = 1.0; s_spatial_ids = [||]; s_weights = [||] }
   | Wid ->
-    let ws = Grid.weights_at m.grid ~x ~y in
-    let n = List.length ws in
-    let ids = Array.make n 0 and weights = Array.make n 0.0 in
-    List.iteri
-      (fun k (r, w) ->
-        ids.(k) <- spatial_source_id m r;
-        weights.(k) <- w)
-      ws;
+    (* The region array is fresh, so it becomes the id array in place. *)
+    let ids, weights = Grid.weights m.grid ~x ~y in
+    for k = 0 to Array.length ids - 1 do
+      ids.(k) <- spatial_source_id m ids.(k)
+    done;
     { s_scale = spatial_scale m ~x ~y; s_spatial_ids = ids; s_weights = weights }
 
 let site_device_form m site ~device_id ~nominal =

@@ -394,7 +394,8 @@ let prop_eval_linear =
    kernels.  Random forms with overlapping supports (shared low ids,
    private high ids, duplicates and sign cancellations in the raw sens
    list) are pushed through both; means, variances, covariances,
-   stat_min and every coefficient must agree to 1e-12. *)
+   stat_min and every coefficient must agree exactly: the kernels
+   evaluate the reference's float expressions in the same order. *)
 
 let oracle_form_gen =
   QCheck.Gen.(
@@ -405,9 +406,6 @@ let oracle_form_gen =
     in
     return (Linform.make ~nominal ~sens))
 
-let oracle_close x y =
-  Float.abs (x -. y) <= 1e-12 *. Float.max 1.0 (Float.abs x)
-
 (* Compare over the union of both supports, so a coefficient dropped by
    one side but kept (tiny) by the other still gets checked. *)
 let oracle_agrees f rf =
@@ -416,18 +414,18 @@ let oracle_agrees f rf =
       (List.map fst rf.Linform.Reference.r_sens
       @ Array.to_list (Array.map fst (Linform.sensitivities f)))
   in
-  oracle_close (Linform.mean f) (Linform.Reference.mean rf)
-  && oracle_close (Linform.variance f) (Linform.Reference.variance rf)
+  Float.equal (Linform.mean f) (Linform.Reference.mean rf)
+  && Float.equal (Linform.variance f) (Linform.Reference.variance rf)
   && List.for_all
        (fun i ->
-         oracle_close (Linform.sensitivity f i) (Linform.Reference.coeff rf i))
+         Float.equal (Linform.sensitivity f i) (Linform.Reference.coeff rf i))
        ids
 
 let prop_oracle_linear_ops =
   let gen =
     QCheck.Gen.(triple (float_range (-3.0) 3.0) oracle_form_gen oracle_form_gen)
   in
-  QCheck.Test.make ~name:"SoA add/sub/axpy/mul match reference (1e-12)"
+  QCheck.Test.make ~name:"SoA add/sub/axpy/mul match reference exactly"
     ~count:500 (QCheck.make gen) (fun (k, a, b) ->
       let ra = Linform.Reference.of_form a in
       let rb = Linform.Reference.of_form b in
@@ -440,17 +438,17 @@ let prop_oracle_linear_ops =
 
 let prop_oracle_second_order =
   let gen = QCheck.Gen.(pair oracle_form_gen oracle_form_gen) in
-  QCheck.Test.make ~name:"SoA variance/covariance match reference (1e-12)"
+  QCheck.Test.make ~name:"SoA variance/covariance match reference exactly"
     ~count:500 (QCheck.make gen) (fun (a, b) ->
       let ra = Linform.Reference.of_form a in
       let rb = Linform.Reference.of_form b in
-      oracle_close (Linform.variance a) (Linform.Reference.variance ra)
-      && oracle_close (Linform.covariance a b)
+      Float.equal (Linform.variance a) (Linform.Reference.variance ra)
+      && Float.equal (Linform.covariance a b)
            (Linform.Reference.covariance ra rb))
 
 let prop_oracle_stat_min =
   let gen = QCheck.Gen.(pair oracle_form_gen oracle_form_gen) in
-  QCheck.Test.make ~name:"SoA stat_min matches reference (1e-12)" ~count:500
+  QCheck.Test.make ~name:"SoA stat_min matches reference exactly" ~count:500
     (QCheck.make gen) (fun (a, b) ->
       let ra = Linform.Reference.of_form a in
       let rb = Linform.Reference.of_form b in
@@ -480,6 +478,61 @@ let prop_axpy_shift_fused =
       Linform.mean fused = Linform.mean unfused
       && Linform.variance fused = Linform.variance unfused
       && Linform.sensitivities fused = Linform.sensitivities unfused)
+
+(* ---------- allocation: the kernels allocate only their results ---------- *)
+
+(* Minor words per call of [f], averaged over [reps] calls after one
+   warm-up call (which may grow a domain's scratch buffers). *)
+let words_per_call ?(reps = 200) f =
+  ignore (Sys.opaque_identity (f ()));
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int reps
+
+let test_kernels_allocate_results_only () =
+  (* About 100 entries per operand, so every result array stays below
+     Max_young_wosize and is counted in the minor words.  [a] and [b]
+     overlap on every sixth id, and [c] cancels [a] on some ids so the
+     merges also drop zeros. *)
+  let a = form 1.5 (List.init 100 (fun k -> (2 * k, 0.25 +. float_of_int k))) in
+  let b = form (-2.0) (List.init 100 (fun k -> (3 * k, 1.0 -. float_of_int k))) in
+  let c =
+    form 0.5
+      (List.init 100 (fun k ->
+           (2 * k, if k mod 3 = 0 then -.(0.25 +. float_of_int k) else 2.0)))
+  in
+  let ids = Array.init 100 (fun k -> 5 * k) in
+  let coefs = Array.init 100 (fun k -> 0.5 +. float_of_int k) in
+  (* Each result array costs its length plus a header word; the record,
+     its two boxed floats and the boxed float returns of the helper
+     calls (stat_min's covariance, cdf and pdf: about 30 words) fit in
+     the constant. *)
+  let slack = 48 in
+  let check name ~arrays f =
+    let r = f () in
+    let budget = (arrays * (Linform.support_size r + 1)) + slack in
+    let got = words_per_call f in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.1f words/call <= %d (support %d)" name got budget
+         (Linform.support_size r))
+      true
+      (got <= float_of_int budget)
+  in
+  check "add" ~arrays:2 (fun () -> Linform.add a b);
+  check "add (cancelling)" ~arrays:2 (fun () -> Linform.add a c);
+  check "sub" ~arrays:2 (fun () -> Linform.sub a b);
+  check "axpy" ~arrays:2 (fun () -> Linform.axpy 0.75 a b);
+  check "axpy_shift" ~arrays:2 (fun () -> Linform.axpy_shift 0.75 a b 3.0);
+  check "mul_first_order" ~arrays:2 (fun () -> Linform.mul_first_order a b);
+  check "stat_min" ~arrays:2 (fun () -> Linform.stat_min a b);
+  (* [scale] and [neg] share the operand's ids; only coefs are new. *)
+  check "scale" ~arrays:1 (fun () -> Linform.scale 0.5 a);
+  check "neg" ~arrays:1 (fun () -> Linform.neg a);
+  (* Zero-free arrays are taken over as they are. *)
+  check "of_sorted_arrays" ~arrays:0 (fun () ->
+      Linform.of_sorted_arrays ~nominal:1.0 ~ids ~coefs)
 
 let qcheck = Qseed.to_alcotest
 
@@ -523,4 +576,6 @@ let suite =
     qcheck prop_oracle_stat_min;
     qcheck prop_oracle_roundtrip;
     qcheck prop_axpy_shift_fused;
+    Alcotest.test_case "kernels allocate only their results" `Quick
+      test_kernels_allocate_results_only;
   ]

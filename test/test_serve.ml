@@ -311,7 +311,34 @@ let test_metrics_latency_ok_only () =
   has "error_parse 1";
   has "latency_ms_count 2";
   has "latency_ms_mean 20.0";
-  has "latency_ms_max 30.0"
+  has "latency_ms_max 30.0";
+  (* The percentiles are nearest-rank: p50 is the 10 ms sample, p95 and
+     p99 the 30 ms one.  Sub-second samples are reported within 1 ms,
+     and no percentile exceeds the max (500 ms bins once printed p50
+     250 next to a max of 33). *)
+  let value key =
+    let prefix = key ^ " " in
+    let n = String.length prefix in
+    match List.find_opt (String.starts_with ~prefix) lines with
+    | Some l -> float_of_string (String.sub l n (String.length l - n))
+    | None -> Alcotest.failf "render has no %s line" key
+  in
+  let max = value "latency_ms_max" in
+  List.iter
+    (fun (key, sample) ->
+      let v = value key in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %g within 1 ms of %g" key v sample)
+        true
+        (Float.abs (v -. sample) <= 1.0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %g <= max %g" key v max)
+        true (v <= max))
+    [
+      ("latency_ms_p50", 10.0);
+      ("latency_ms_p95", 30.0);
+      ("latency_ms_p99", 30.0);
+    ]
 
 let test_metrics_line_set () =
   (* The rendered stats payload's key sequence is a documented

@@ -223,6 +223,146 @@ let test_distant_devices_less_correlated () =
   Alcotest.(check bool) "near > far correlation" true
     (Linform.correlation t1 t2 > Linform.correlation t1 t3)
 
+(* ---------- array-built site templates ---------- *)
+
+(* The list construction [Grid.weights_at] used before the weights were
+   built as arrays, copied here verbatim (with the grid's private
+   [col_of]/[row_of] spelled out) as the bit-for-bit reference. *)
+let list_weights g ~x ~y =
+  let module G = Varmodel.Grid in
+  let clamp v lo hi = if v < lo then lo else if v > hi then hi else v in
+  let pitch = G.pitch_um g and range = G.range_um g in
+  let col_of x = clamp (int_of_float (floor (x /. pitch))) 0 (G.cols g - 1) in
+  let row_of y = clamp (int_of_float (floor (y /. pitch))) 0 (G.rows g - 1) in
+  let lambda = range /. 2.0 in
+  let span = int_of_float (ceil (range /. pitch)) in
+  let c0 = col_of x and r0 = row_of y in
+  let raw = ref [] in
+  for row = max 0 (r0 - span) to min (G.rows g - 1) (r0 + span) do
+    for col = max 0 (c0 - span) to min (G.cols g - 1) (c0 + span) do
+      let idx = (row * G.cols g) + col in
+      let cx, cy = G.region_center g idx in
+      let d = Float.hypot (cx -. x) (cy -. y) in
+      if d <= range then begin
+        let w = exp (-.(d /. lambda) *. (d /. lambda)) in
+        raw := (idx, w) :: !raw
+      end
+    done
+  done;
+  let norm =
+    sqrt (List.fold_left (fun acc (_, w) -> acc +. (w *. w)) 0.0 !raw)
+  in
+  List.rev_map (fun (idx, w) -> (idx, w /. norm)) !raw
+
+let bits = Int64.bits_of_float
+
+let prop_weights_match_list_construction =
+  let gen =
+    QCheck.Gen.(
+      let* width = float_range 300.0 6000.0 in
+      let* height = float_range 300.0 6000.0 in
+      let* pitch = float_range 100.0 1000.0 in
+      let* range = float_range 100.0 3000.0 in
+      let g =
+        Varmodel.Grid.create ~width_um:width ~height_um:height ~pitch_um:pitch
+          ~range_um:range
+      in
+      (* Die corners, region-edge multiples of the pitch and points up
+         to half a die off every side. *)
+      let coord extent =
+        oneof
+          [
+            oneofl [ 0.0; extent; -.extent /. 2.0; 1.5 *. extent ];
+            map (fun k -> float_of_int k *. pitch) (int_range (-2) 14);
+            float_range (-.extent /. 2.0) (1.5 *. extent);
+          ]
+      in
+      let* x = coord width and* y = coord height in
+      return (g, x, y))
+  in
+  let print (g, x, y) =
+    Printf.sprintf "die %gx%g pitch %g range %g at (%h, %h)"
+      (Varmodel.Grid.width_um g) (Varmodel.Grid.height_um g)
+      (Varmodel.Grid.pitch_um g) (Varmodel.Grid.range_um g) x y
+  in
+  QCheck.Test.make ~name:"array weights = list construction bit for bit"
+    ~count:300 (QCheck.make ~print gen) (fun (g, x, y) ->
+      let expected = list_weights g ~x ~y in
+      let idx, w = Varmodel.Grid.weights g ~x ~y in
+      let arrays = List.init (Array.length idx) (fun k -> (idx.(k), w.(k))) in
+      let as_list = Varmodel.Grid.weights_at g ~x ~y in
+      let same (r, a) (r', b) = r = r' && bits a = bits b in
+      List.length arrays = List.length expected
+      && List.length as_list = List.length expected
+      && List.for_all2 same expected arrays
+      && List.for_all2 same expected as_list)
+
+let prop_site_form_is_device_form =
+  (* [site_device_form] documents itself as exactly [device_form] at
+     the site's location: same ids, same coefficient bits. *)
+  let gen =
+    QCheck.Gen.(
+      let* mode = oneofl Varmodel.Model.[ Nom; D2d; Wid ] in
+      let* hetero = bool in
+      let* x = float_range (-2000.0) 6000.0
+      and* y = float_range (-1500.0) 4500.0 in
+      let* nominal = float_range 0.1 500.0 in
+      return (mode, hetero, x, y, nominal))
+  in
+  QCheck.Test.make ~name:"site_device_form = device_form exactly" ~count:300
+    (QCheck.make gen) (fun (mode, hetero, x, y, nominal) ->
+      let spatial =
+        if hetero then Varmodel.Model.Heterogeneous { lo = 0.2; hi = 1.8 }
+        else Varmodel.Model.Homogeneous
+      in
+      let m = model ~mode ~spatial () in
+      let device_id = Varmodel.Model.fresh_device_id m in
+      let a =
+        Varmodel.Model.site_device_form m (Varmodel.Model.site m ~x ~y)
+          ~device_id ~nominal
+      in
+      let b = Varmodel.Model.device_form m ~device_id ~x ~y ~nominal in
+      let sens f =
+        Array.map (fun (i, c) -> (i, bits c)) (Linform.sensitivities f)
+      in
+      bits (Linform.mean a) = bits (Linform.mean b)
+      && bits (Linform.variance a) = bits (Linform.variance b)
+      && sens a = sens b)
+
+let test_site_allocates_results_only () =
+  (* About 50 spatial regions per site on this grid, so every array is
+     far below Max_young_wosize and is counted in the minor words.  A
+     site costs its two arrays, a form its two arrays (two entries
+     longer: inter-die and device), each plus a header word; records,
+     boxed floats and the weights' pair fit in the constant. *)
+  let m =
+    model ~spatial:(Varmodel.Model.Heterogeneous { lo = 0.2; hi = 1.8 }) ()
+  in
+  let device_id = Varmodel.Model.fresh_device_id m in
+  let reps = 200 in
+  List.iter
+    (fun (x, y) ->
+      let build () =
+        let site = Varmodel.Model.site m ~x ~y in
+        Varmodel.Model.site_device_form m site ~device_id ~nominal:50.0
+      in
+      ignore (Sys.opaque_identity (build ()));
+      let w0 = Gc.minor_words () in
+      for _ = 1 to reps do
+        ignore (Sys.opaque_identity (build ()))
+      done;
+      let got = (Gc.minor_words () -. w0) /. float_of_int reps in
+      let ns = Linform.support_size (build ()) - 2 in
+      let budget = (2 * (ns + 1)) + (2 * (ns + 3)) + 48 in
+      Alcotest.(check bool)
+        (Printf.sprintf "site at (%g, %g): %.1f words/call <= %d (%d regions)"
+           x y got budget ns)
+        true
+        (got <= float_of_int budget))
+    [ (2000.0, 1500.0); (10.0, 10.0); (3990.0, 2990.0); (-300.0, 3200.0) ]
+
+let qcheck = Qseed.to_alcotest
+
 let suite =
   [
     Alcotest.test_case "grid shape" `Quick test_grid_shape;
@@ -245,4 +385,8 @@ let suite =
     Alcotest.test_case "ramp clamps off-die" `Quick test_ramp_clamps_off_die;
     Alcotest.test_case "spatial source id range" `Quick
       test_spatial_source_id_range;
+    qcheck prop_weights_match_list_construction;
+    qcheck prop_site_form_is_device_form;
+    Alcotest.test_case "site templates allocate only their results" `Quick
+      test_site_allocates_results_only;
   ]
