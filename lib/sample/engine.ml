@@ -122,6 +122,9 @@ let obs_pruned = Obs.Counters.counter Obs.Counters.global "sample.pruned"
 let obs_checks =
   Obs.Counters.counter Obs.Counters.global "sample.dominance_checks"
 
+let obs_skipped =
+  Obs.Counters.counter Obs.Counters.global "sample.pairs_skipped"
+
 (* Budget checks shared by the tree walk and the tape interpreter,
    with the canonical engine's exact messages. *)
 let make_checks budget ~t_start =
@@ -202,24 +205,30 @@ let record_keys keys ~k c (dl : float array) (dr : float array) off ~power =
    dominator to cost no more energy ({!Bufins.Dominance.power_le} at
    [eps]), with raw power ascending as the ε-independent sort
    tie-break, so the kept set is the (load, RAT, power) Pareto
-   frontier.
+   frontier.  [skipped] counts candidates a caller dropped before
+   staging because they provably die here (the merge pair filter);
+   the counters report them as generated and pruned.
 
-   The sweep is the greedy scan over kept candidates, newest first,
-   that {!Bufins.Dominance.sweep} runs ([Rat_prefilter] at need = K,
-   [Scan_kept] below), so kept set, kept order and the count of pairs
-   considered are that sweep's.  At need = K full dominance in every
-   sample rules out NaN in both rows and implies that every order
-   statistic of the dominator's rows ties-or-beats the candidate's, and
-   that its mean RAT is not below the candidate's (fl(x + y) is
-   monotone in each argument while the sums stay numbers; a NaN mean
-   compares false and so rejects nothing).  A pair failing the mean or
-   sketch test is therefore rejected without touching a row.  Below K
-   a dominator may lose in some samples, so both tests are skipped
-   there.  A row compare first probes the sample where the previous
-   compare failed; the verdict is a count over all samples, so the
-   probe order changes no result. *)
-let prune ar ~k ~need ~power_aware ~eps keys ~n ~gen ~choice =
-  if n <= 1 || need > k then
+   The sweep is the greedy scan over kept candidates that
+   {!Bufins.Dominance.sweep} runs, so kept set and kept order are that
+   sweep's.  Below K ([Scan_kept]) it scans the kept candidates newest
+   first.  At need = K full dominance in every sample rules out NaN in
+   both rows and implies that every order statistic of the dominator's
+   rows ties-or-beats the candidate's, and that its mean RAT is not
+   below the candidate's (fl(x + y) is monotone in each argument while
+   the sums stay numbers).  So at need = K the kept slots are indexed
+   by mean RAT, descending (NaN means first: a NaN mean rejects
+   nothing), and a candidate scans only the prefix of that index whose
+   mean RAT is not below its own — all of it when its own mean is NaN;
+   an empty prefix keeps it outright.  The verdict is "some kept row
+   dominates", which no scan order changes.  A pair failing the sketch
+   test is rejected without touching a row; below K a dominator may
+   lose in some samples, so neither the index nor the sketch test is
+   used there.  A row compare first probes the sample where the
+   previous compare failed; the verdict is a count over all samples,
+   so the probe order changes no result. *)
+let prune ar ~k ~need ~power_aware ~eps ?(skipped = 0) keys ~n ~gen ~choice =
+  if (n <= 1 && skipped = 0) || need > k then
     Array.init n (fun c ->
         let load = Array.make k 0.0 and rat = Array.make k 0.0 in
         gen c load rat 0;
@@ -248,10 +257,13 @@ let prune ar ~k ~need ~power_aware ~eps keys ~n ~gen ~choice =
     let exact = need >= k in
     let kept = Sarena.kept ar n in
     (* The kept block: rows at slot [q] of [kl] / [kr] (stride K), their
-       keys at slot [q] of [kk] (stride [nkeys]). *)
+       keys at slot [q] of [kk] (stride [nkeys]).  At need = K, [order]
+       lists the kept slots by mean RAT: the [nnan] NaN means first,
+       then descending, equal means in kept order. *)
     let kl = ref (Sarena.keep_load ar) and kr = ref (Sarena.keep_rat ar) in
     let kk = ref (Sarena.keep_keys ar) in
-    let nkept = ref 0 and rat_max = ref neg_infinity in
+    let order = if exact then Sarena.order ar n else [||] in
+    let nkept = ref 0 and nnan = ref 0 in
     let checks = ref 0 and hint = ref 0 in
     (* Does kept row [q] dominate the candidate row at offset [io]? *)
     let row_dominates q io =
@@ -305,40 +317,60 @@ let prune ar ~k ~need ~power_aware ~eps keys ~n ~gen ~choice =
       end;
       let io = q * k and kk = !kk in
       let staged = ref false in
-      let dominated =
-        if exact && mrc > !rat_max then false
+      (* The kept slots to scan, from the last down: at need = K the
+         first [len] entries of [order] — those whose mean RAT is not
+         below [mrc], closest last — and [at] is where the candidate
+         enters [order] if kept; below K every slot, newest last. *)
+      let at = ref q in
+      let len =
+        if not exact then q
+        else if Float.is_nan mrc then begin
+          at := !nnan;
+          q
+        end
         else begin
-          let dom = ref false and q = ref (q - 1) in
-          while (not !dom) && !q >= 0 do
-            let o = nkeys * !q in
-            incr checks;
-            if
-              ((not power_aware)
-              || Bufins.Dominance.power_le ~eps kk.(o + 2) pwc)
-              && ((not exact)
-                 || (not (kk.(o + 1) < mrc))
-                    && kk.(o + 3) <= lminc
-                    && kk.(o + 4) <= lmaxc
-                    && kk.(o + 5) >= rminc
-                    && kk.(o + 6) >= rmaxc)
-            then begin
-              if not !staged then begin
-                gen c !kl !kr io;
-                staged := true
-              end;
-              dom := row_dominates !q io
-            end;
-            decr q
+          let lo = ref !nnan and hi = ref q in
+          while !lo < !hi do
+            let mid = (!lo + !hi) / 2 in
+            if kk.((nkeys * order.(mid)) + 1) < mrc then hi := mid
+            else lo := mid + 1
           done;
-          !dom
+          at := !lo;
+          !lo
         end
       in
-      if not dominated then begin
+      let dominated = ref false and x = ref (len - 1) in
+      while (not !dominated) && !x >= 0 do
+        let p = if exact then order.(!x) else !x in
+        let o = nkeys * p in
+        incr checks;
+        if
+          ((not power_aware) || Bufins.Dominance.power_le ~eps kk.(o + 2) pwc)
+          && ((not exact)
+             || kk.(o + 3) <= lminc
+                && kk.(o + 4) <= lmaxc
+                && kk.(o + 5) >= rminc
+                && kk.(o + 6) >= rmaxc)
+        then begin
+          if not !staged then begin
+            gen c !kl !kr io;
+            staged := true
+          end;
+          dominated := row_dominates p io
+        end;
+        decr x
+      done;
+      if not !dominated then begin
         if not !staged then gen c !kl !kr io;
         Array.blit keys co kk (nkeys * q) nkeys;
         kept.(q) <- c;
         nkept := q + 1;
-        if mrc > !rat_max then rat_max := mrc
+        if exact then begin
+          let at = !at in
+          Array.blit order at order (at + 1) (q - at);
+          order.(at) <- q;
+          if Float.is_nan mrc then incr nnan
+        end
       end
     done;
     let nkept = !nkept and kl = !kl and kr = !kr in
@@ -353,9 +385,10 @@ let prune ar ~k ~need ~power_aware ~eps keys ~n ~gen ~choice =
           })
     in
     if obs then begin
-      Obs.Counters.incr obs_generated n;
+      Obs.Counters.incr obs_generated (n + skipped);
       Obs.Counters.incr obs_kept nkept;
-      Obs.Counters.incr obs_pruned (n - nkept);
+      Obs.Counters.incr obs_pruned (n + skipped - nkept);
+      if skipped > 0 then Obs.Counters.incr obs_skipped skipped;
       Obs.Counters.incr obs_checks !checks;
       Obs.Counters.observe Obs.Counters.global "sample.frontier" ~lo:0.0
         ~hi:1024.0 ~bins:64
@@ -670,12 +703,201 @@ let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
   if obs then Obs.Span.record ~name:"lift" ~cat:"sample" ~t0_ns:t0;
   { ev; od }
 
-(* Subtree merge: the full cross product with an exact per-sample min,
+(* ---------- the merge pair filter ----------
+
+   At need = K the sweep keeps exactly the candidates that no
+   earlier-sorted candidate dominates: dominance in every sample (at
+   no more power) is transitive, so a candidate dominated by a dropped
+   one is dominated by whichever kept one dropped it.  A merge pair
+   that provably has a dominator sorting strictly before it can
+   therefore be skipped — neither its keys nor its row built — without
+   changing any kept row, the kept order (the stable sort keeps the
+   survivors' relative order) or any choice trail: whatever the
+   skipped pair would have dominated, its dominator dominates too, and
+   that dominator is either kept or, by the same argument on a
+   strictly earlier candidate, dominated by a kept one.
+
+   Pair (i, j) has dominator (i', j) when A row i' has
+   - load ≤ row i's in every sample: fl(x + y) is monotone, so the
+     pair loads compare the same way.  The filter asks the sketch
+     test max load(i') ≤ min load(i);
+   - RAT ≥ row j's in every sample ("i' covers j"): then (i', j) has
+     RAT rb_j ≥ min(ra_i, rb_j) in every sample;
+   - power ≤ row i's, under a power-aware objective: fl(x + y) and
+     [power_le] are both monotone;
+   - a mean load below row i's by more than twice the rounding error
+     of the pair keys' fl sums and quotient, so (i', j) sorts strictly
+     before (i, j) whatever partner j is.
+   The mirror rule takes a B row j' against A row i.  Rows with a
+   non-finite sample take no part (a NaN fails every comparison), nor
+   rows whose absolute load sum could overflow a pair sum.  The rows
+   i' that can replace i form an na-bit set, the rows i' that cover j
+   another, so a pair costs one bitset intersection per rule. *)
+
+let nsum = 6
+
+(* Row [x]'s summary at [nsum * x]: absolute load sum ([infinity] for a
+   row that takes no part), fl-summed load in sample order, and the
+   min/max load and RAT sketch. *)
+let summarise ~k (rows : sol array) sums ~off =
+  Array.iteri
+    (fun x s ->
+      let la = s.load and ra = s.rat in
+      let finite = ref true and sl = ref 0.0 and sa = ref 0.0 in
+      let lmin = ref la.(0) and lmax = ref la.(0) in
+      let rmin = ref ra.(0) and rmax = ref ra.(0) in
+      for t = 0 to k - 1 do
+        let l = la.(t) and r = ra.(t) in
+        if not (Float.is_finite l && Float.is_finite r) then finite := false;
+        sl := !sl +. l;
+        sa := !sa +. Float.abs l;
+        if l < !lmin then lmin := l;
+        if l > !lmax then lmax := l;
+        if r < !rmin then rmin := r;
+        if r > !rmax then rmax := r
+      done;
+      let o = nsum * (off + x) in
+      sums.(o) <-
+        (if !finite && !sa < Float.max_float /. 8.0 then !sa else infinity);
+      sums.(o + 1) <- !sl;
+      sums.(o + 2) <- !lmin;
+      sums.(o + 3) <- !lmax;
+      sums.(o + 4) <- !rmin;
+      sums.(o + 5) <- !rmax)
+    rows
+
+(* Bitsets of 63-bit words. *)
+let words n = (n + 62) / 63
+
+let set_bit bits base x =
+  let q = base + (x / 63) in
+  bits.(q) <- bits.(q) lor (1 lsl (x mod 63))
+
+let has_bit bits base x = bits.(base + (x / 63)) land (1 lsl (x mod 63)) <> 0
+
+let meets bits p q w =
+  let hit = ref false and t = ref 0 in
+  while (not !hit) && !t < w do
+    hit := bits.(p + !t) land bits.(q + !t) <> 0;
+    incr t
+  done;
+  !hit
+
+(* Set bit x' of row x's [w]-word set at [p] (and of the union at [u])
+   when x' can replace x against any partner whose absolute load sum
+   is at most [other]; returns whether any bit was set.  The mean-load
+   margin: a pair's fl load sum (K roundings of x + y, K − 1 of the
+   running sum) is within about K·ε/2 of the exact sum, relative to
+   the pair's absolute load sum; the quotient by K and the rows' own fl
+   sums add a few ε/2 more.  [gap] times the rows' and twice the
+   partner's absolute sums (plus [tiny]) is over twice that, so a
+   larger difference of the rows' sums makes the fl key of (x', y)
+   strictly smaller than that of (x, y). *)
+let replacements ~k ~power_aware (xs : sol array) sums ~off ~other bits ~p ~u
+    ~w =
+  let gap = 2.0 *. float_of_int (k + 2) *. epsilon_float in
+  (* Keeps the quotient's rounding relative near underflow. *)
+  let tiny = float_of_int k *. Float.min_float in
+  let any = ref false in
+  Array.iteri
+    (fun x sx ->
+      let ox = nsum * (off + x) in
+      if sums.(ox) < infinity then
+        Array.iteri
+          (fun x' sx' ->
+            let o' = nsum * (off + x') in
+            if
+              sums.(o' + 3) <= sums.(ox + 2)
+              && ((not power_aware) || sx'.power <= sx.power)
+              && sums.(ox + 1) -. sums.(o' + 1)
+                 > (gap *. (sums.(ox) +. sums.(o') +. (2.0 *. other))) +. tiny
+            then begin
+              set_bit bits (p + (x * w)) x';
+              set_bit bits u x';
+              any := true
+            end)
+          xs)
+    xs;
+  !any
+
+(* Set bit x' of row y's [w]-word set at [c] when x' (a row of the
+   union at [u]) has RAT at least y's in every sample: by sketch when
+   it decides, else by an early-exit row compare. *)
+let covers ~k (xs : sol array) ~xoff (ys : sol array) ~yoff sums bits ~u ~c ~w =
+  Array.iteri
+    (fun y sy ->
+      let oy = nsum * (yoff + y) in
+      if sums.(oy) < infinity then begin
+        let ry = sy.rat in
+        let rminy = sums.(oy + 4) and rmaxy = sums.(oy + 5) in
+        Array.iteri
+          (fun x' sx' ->
+            if has_bit bits u x' then begin
+              let ox = nsum * (xoff + x') in
+              if
+                sums.(ox + 4) >= rmaxy
+                || sums.(ox + 5) >= rmaxy
+                   && sums.(ox + 4) >= rminy
+                   &&
+                   let rx = sx'.rat and t = ref 0 in
+                   while !t < k && rx.(!t) >= ry.(!t) do
+                     incr t
+                   done;
+                   !t >= k
+              then set_bit bits (c + (y * w)) x'
+            end)
+          xs
+      end)
+    ys
+
+(* The pair filter of merge [a] × [b] at need = K: [skip i j] holds
+   when pair (i, j) provably dies in the sweep. *)
+let pair_filter ar ~k ~power_aware (a : sol array) (b : sol array) =
+  let na = Array.length a and nb = Array.length b in
+  let sums = Sarena.sums ar (nsum * (na + nb)) in
+  summarise ~k a sums ~off:0;
+  summarise ~k b sums ~off:na;
+  let abs_max ~off n =
+    let m = ref 0.0 in
+    for x = off to off + n - 1 do
+      let v = sums.(nsum * x) in
+      if v < infinity && v > !m then m := v
+    done;
+    !m
+  in
+  let wa = words na and wb = words nb in
+  (* Replacement sets, their union and cover sets, per side. *)
+  let pa = 0 in
+  let ua = pa + (na * wa) in
+  let ca = ua + wa in
+  let pb = ca + (nb * wa) in
+  let ub = pb + (nb * wb) in
+  let cb = ub + wb in
+  let len = cb + (na * wb) in
+  let bits = Sarena.bits ar len in
+  Array.fill bits 0 len 0;
+  let any_a =
+    replacements ~k ~power_aware a sums ~off:0 ~other:(abs_max ~off:na nb)
+      bits ~p:pa ~u:ua ~w:wa
+  in
+  let any_b =
+    replacements ~k ~power_aware b sums ~off:na ~other:(abs_max ~off:0 na)
+      bits ~p:pb ~u:ub ~w:wb
+  in
+  if any_a then covers ~k a ~xoff:0 b ~yoff:na sums bits ~u:ua ~c:ca ~w:wa;
+  if any_b then covers ~k b ~xoff:na a ~yoff:0 sums bits ~u:ub ~c:cb ~w:wb;
+  fun i j ->
+    (any_a && meets bits (pa + (i * wa)) (ca + (j * wa)) wa)
+    || (any_b && meets bits (pb + (j * wb)) (cb + (i * wb)) wb)
+
+(* Subtree merge: the cross product with an exact per-sample min,
    staged lazily.  One pass over the pairs, in the canonical cross
    merge's newest-first row order (so duplicate survival is stable) and
    with the budget [check] per pair, computes each row's keys without
-   storing the row; the sweep regenerates the rows it needs and builds
-   [Merged] trails for the kept ones only.
+   storing the row — except for the pairs the pair filter skips at
+   need = K; the staged pairs are then compacted in order, and the
+   sweep regenerates the rows it needs and builds [Merged] trails for
+   the kept ones only.
 
    The per-sample min is [Float.min]: the loops take the strict [<]
    cases inline and, on a tie or NaN anywhere in the row (where only
@@ -689,7 +911,15 @@ let merge_rows ~k ~need ~power_aware ~eps ~node ~check (a : sol array)
   if ncand = 0 then [||]
   else begin
     let ar = Sarena.get () in
+    let skip =
+      if need = k && ncand > 1 then pair_filter ar ~k ~power_aware a b
+      else fun _ _ -> false
+    in
     let keys = Sarena.keys ar (nkeys * ncand) in
+    (* Slot [c] first holds the row-major number [ncand - 1 - c] of its
+       pair, or -1 if the pair is skipped; the staged pairs are then
+       moved down in order, so slot [c] names the [c]th staged pair. *)
+    let cand = Sarena.cand ar ncand in
     let count = ref 0 in
     for i = 0 to na - 1 do
       let la = a.(i).load and ra = a.(i).rat in
@@ -697,57 +927,70 @@ let merge_rows ~k ~need ~power_aware ~eps ~node ~check (a : sol array)
         incr count;
         check !count;
         let c = ncand - !count in
-        let lb = b.(j).load and rb = b.(j).rat in
-        (* [record_keys] fused with the row's generation. *)
-        let l0 = la.(0) +. lb.(0) and r0 = Float.min ra.(0) rb.(0) in
-        let sl = ref 0.0 and sr = ref 0.0 in
-        let lmin = ref l0 and lmax = ref l0 in
-        let rmin = ref r0 and rmax = ref r0 in
-        let strict = ref true in
-        for t = 0 to k - 1 do
-          let l = la.(t) +. lb.(t) in
-          let x = ra.(t) and y = rb.(t) in
-          let r =
-            if x < y then x
-            else if y < x then y
-            else begin
-              strict := false;
-              x
-            end
-          in
-          sl := !sl +. l;
-          sr := !sr +. r;
-          if l < !lmin then lmin := l;
-          if l > !lmax then lmax := l;
-          if r < !rmin then rmin := r;
-          if r > !rmax then rmax := r
-        done;
-        if not !strict then begin
-          sr := 0.0;
-          rmin := r0;
-          rmax := r0;
+        if skip i j then cand.(c) <- -1
+        else begin
+          cand.(c) <- (i * nb) + j;
+          let lb = b.(j).load and rb = b.(j).rat in
+          (* [record_keys] fused with the row's generation. *)
+          let l0 = la.(0) +. lb.(0) and r0 = Float.min ra.(0) rb.(0) in
+          let sl = ref 0.0 and sr = ref 0.0 in
+          let lmin = ref l0 and lmax = ref l0 in
+          let rmin = ref r0 and rmax = ref r0 in
+          let strict = ref true in
           for t = 0 to k - 1 do
-            let r = Float.min ra.(t) rb.(t) in
+            let l = la.(t) +. lb.(t) in
+            let x = ra.(t) and y = rb.(t) in
+            let r =
+              if x < y then x
+              else if y < x then y
+              else begin
+                strict := false;
+                x
+              end
+            in
+            sl := !sl +. l;
             sr := !sr +. r;
+            if l < !lmin then lmin := l;
+            if l > !lmax then lmax := l;
             if r < !rmin then rmin := r;
             if r > !rmax then rmax := r
-          done
-        end;
-        let o = nkeys * c in
-        keys.(o) <- !sl /. float_of_int k;
-        keys.(o + 1) <- !sr /. float_of_int k;
-        keys.(o + 2) <- a.(i).power +. b.(j).power;
-        keys.(o + 3) <- !lmin;
-        keys.(o + 4) <- !lmax;
-        keys.(o + 5) <- !rmin;
-        keys.(o + 6) <- !rmax
+          done;
+          if not !strict then begin
+            sr := 0.0;
+            rmin := r0;
+            rmax := r0;
+            for t = 0 to k - 1 do
+              let r = Float.min ra.(t) rb.(t) in
+              sr := !sr +. r;
+              if r < !rmin then rmin := r;
+              if r > !rmax then rmax := r
+            done
+          end;
+          let o = nkeys * c in
+          keys.(o) <- !sl /. float_of_int k;
+          keys.(o + 1) <- !sr /. float_of_int k;
+          keys.(o + 2) <- a.(i).power +. b.(j).power;
+          keys.(o + 3) <- !lmin;
+          keys.(o + 4) <- !lmax;
+          keys.(o + 5) <- !rmin;
+          keys.(o + 6) <- !rmax
+        end
       done
     done;
+    let n = ref 0 in
+    for c = 0 to ncand - 1 do
+      if cand.(c) >= 0 then begin
+        if !n < c then begin
+          cand.(!n) <- cand.(c);
+          Array.blit keys (nkeys * c) keys (nkeys * !n) nkeys
+        end;
+        incr n
+      end
+    done;
+    let n = !n in
     if Obs.Control.on () then Obs.Counters.incr obs_merged ncand;
-    (* Candidate [c] is pair number [ncand - 1 - c] in row-major
-       order. *)
     let gen c (dl : float array) (dr : float array) off =
-      let m = ncand - 1 - c in
+      let m = cand.(c) in
       let sa = a.(m / nb) and sb = b.(m mod nb) in
       let la = sa.load and lb = sb.load and ra = sa.rat and rb = sb.rat in
       let strict = ref true in
@@ -767,8 +1010,9 @@ let merge_rows ~k ~need ~power_aware ~eps ~node ~check (a : sol array)
           dr.(off + t) <- Float.min ra.(t) rb.(t)
         done
     in
-    prune ar ~k ~need ~power_aware ~eps keys ~n:ncand ~gen ~choice:(fun c ->
-        let m = ncand - 1 - c in
+    prune ar ~k ~need ~power_aware ~eps ~skipped:(ncand - n) keys ~n ~gen
+      ~choice:(fun c ->
+        let m = cand.(c) in
         Bufins.Sol.Merged
           { node; left = a.(m / nb).choice; right = b.(m mod nb).choice })
   end

@@ -132,6 +132,25 @@ val sweep_rows :
     {!Bufins.Dominance.power_le} energy at [eps]) by an earlier kept
     one; otherwise every index in input order. *)
 
+val merge_rows :
+  k:int ->
+  need:int ->
+  power_aware:bool ->
+  eps:float ->
+  node:int ->
+  check:(int -> unit) ->
+  sol array ->
+  sol array ->
+  sol array
+(** [merge_rows ~k ~need ~power_aware ~eps ~node ~check a b] is one
+    subtree merge: the cross product of [a] and [b] (per-sample load
+    sum, per-sample [Float.min] RAT, power sum, [Merged] trail at
+    [node]) pruned by {!sweep_rows}'s sweep, with pair [(i, j)] at
+    candidate index [na·nb − 1 − (i·nb + j)].  [check] runs once per
+    pair with the running pair count.  At [need = k] pairs that
+    provably die in the sweep are skipped before staging; the result
+    is the sweep's over the explicit cross product either way. *)
+
 val default_grain : int
 
 val run :

@@ -12,7 +12,9 @@
    of one lift / merge / prune — there is no suspension point inside
    those — and grows geometrically to the domain's running peak.  Only
    the pruned frontier (exact-size [Engine.sol] rows) is freshly
-   allocated. *)
+   allocated.  A merge also borrows its pair filter's per-row
+   summaries and bitsets, and the sweep its mean-RAT-ordered index of
+   kept slots. *)
 
 type t = {
   mutable a_load : float array; (* wired rows, stride K *)
@@ -27,7 +29,10 @@ type t = {
   mutable keep_keys : float array; (* the kept rows' keys *)
   mutable perm : int array;
   mutable kept : int array;
+  mutable order : int array; (* kept slots by mean RAT, descending *)
   mutable sort_tmp : int array;
+  mutable sums : float array; (* pair filter: per-row summaries *)
+  mutable bits : int array; (* pair filter: bitsets *)
 }
 
 let key : t Domain.DLS.key =
@@ -45,7 +50,10 @@ let key : t Domain.DLS.key =
         keep_keys = [||];
         perm = [||];
         kept = [||];
+        order = [||];
         sort_tmp = [||];
+        sums = [||];
+        bits = [||];
       })
 
 let get () = Domain.DLS.get key
@@ -95,6 +103,9 @@ let keys = floats (fun t -> t.keys) (fun t a -> t.keys <- a)
 let cand = ints (fun t -> t.cand) (fun t a -> t.cand <- a)
 let perm = ints (fun t -> t.perm) (fun t a -> t.perm <- a)
 let kept = ints (fun t -> t.kept) (fun t a -> t.kept <- a)
+let order = ints (fun t -> t.order) (fun t a -> t.order <- a)
+let sums = floats (fun t -> t.sums) (fun t a -> t.sums <- a)
+let bits = ints (fun t -> t.bits) (fun t a -> t.bits <- a)
 let keep_load t = t.keep_load
 let keep_rat t = t.keep_rat
 let keep_keys t = t.keep_keys

@@ -1,11 +1,11 @@
 (** Per-domain scratch buffers for the sample engine, mirroring
     {!Bufins.Arena}: the stride-K wired-row stage of a lift, one
     K-sized candidate scratch row, per-candidate prune keys, the kept
-    block the sweep scans, and the sweep's permutation / kept /
-    mergesort scratch.  Buffers are valid for the duration of one
-    lift / merge / prune call on the borrowing domain; a borrow of
-    [n] entries may return a longer array whose contents are
-    unspecified. *)
+    block the sweep scans, the sweep's permutation / kept / kept-index
+    / mergesort scratch, and the merge pair filter's row summaries and
+    bitsets.  Buffers are valid for the duration of one lift / merge /
+    prune call on the borrowing domain; a borrow of [n] entries may
+    return a longer array whose contents are unspecified. *)
 
 type t
 
@@ -38,6 +38,13 @@ val reserve_keep : t -> row:int -> keys:int -> int -> unit
 
 val perm : t -> int -> int array
 val kept : t -> int -> int array
+
+val order : t -> int -> int array
+(** The sweep's kept slots ordered by mean RAT. *)
+
+val sums : t -> int -> float array
+val bits : t -> int -> int array
+(** The merge pair filter's per-row summaries and bitsets. *)
 
 val sort_prefix : t -> int array -> int -> cmp:(int -> int -> int) -> unit
 (** Stable sort of the first [n] entries of the index array under

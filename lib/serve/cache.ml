@@ -4,8 +4,12 @@
    routing fields ([id] is echoed verbatim and [deadline_ms] only
    bounds how long the computation may take — neither changes the
    result), so the canonical key is the re-encoded request with both
-   zeroed.  Keys are digests: the tree text dominates payload size and
-   storing it per entry would defeat the point of a bounded cache.
+   zeroed.  The encoding is the binary v2 one ({!Codec_bin}), whatever
+   wire the request arrived on: it covers every field, and it costs a
+   small fraction of the v1 text encoder (which prints the tree as
+   text), on every request the worker answers, hits included.  Keys are
+   digests: the tree dominates payload size and storing it per entry
+   would defeat the point of a bounded cache.
 
    Storage and eviction live in {!Lru}; this module adds the key
    derivation and the mutex (pool workers only touch the cache once
@@ -20,7 +24,7 @@ let create ~entries =
 let key_of_request (req : Protocol.request) =
   Digest.to_hex
     (Digest.string
-       (Protocol.encode_request { req with Protocol.id = 0; deadline_ms = 0 }))
+       (Codec_bin.encode_request { req with Protocol.id = 0; deadline_ms = 0 }))
 
 let find t key =
   Mutex.lock t.mutex;

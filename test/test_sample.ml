@@ -189,9 +189,22 @@ let kernel_reference ~k ~need ~power_aware ~eps ~load ~rat ~power =
            else kept @ [ i ])
          [] order)
 
+(* Dyadic row values: [-1] stands for NaN, [-2] for -0.0, [-3] and
+   [-4] for +/-infinity. *)
+let dyadic v =
+  match v with
+  | -1 -> Float.nan
+  | -2 -> -0.0
+  | -3 -> Float.infinity
+  | -4 -> Float.neg_infinity
+  | v -> 0.5 *. float_of_int v
+
 (* Rows on a coarse dyadic grid; some rows copy an earlier row and some
    reverse one, so exact duplicates and tied means with different rows
-   are both common. *)
+   are both common.  A few rows get a NaN RAT sample, or a +infinity
+   one and (with a -infinity beside it) a NaN mean RAT without a NaN
+   sample — NaN means the sweep's kept index must scan past — or have
+   their zeros negated. *)
 let arb_kernel =
   let gen =
     QCheck.Gen.(
@@ -202,7 +215,7 @@ let arb_kernel =
       let* eps = oneofl [ 0.0; 0.5 ] in
       let row = array_repeat k (int_range 0 3) in
       let* fresh = array_repeat n (pair row row) in
-      let* shape = array_repeat n (pair (int_range 0 5) (int_range 0 1000)) in
+      let* shape = array_repeat n (pair (int_range 0 9) (int_range 0 1000)) in
       let* power = array_repeat n (int_range 0 7) in
       let rows = Array.copy fresh in
       Array.iteri
@@ -214,14 +227,23 @@ let arb_kernel =
             | 1 ->
               let rev a = Array.init k (fun t -> a.(k - 1 - t)) in
               rows.(i) <- (rev l, rev r)
+            | 6 ->
+              let r = Array.copy (snd rows.(i)) in
+              r.(pick mod k) <- -1;
+              rows.(i) <- (fst rows.(i), r)
+            | 7 ->
+              let neg = Array.map (fun v -> if v = 0 then -2 else v) in
+              rows.(i) <- (neg (fst rows.(i)), neg (snd rows.(i)))
+            | 8 | 9 ->
+              let r = Array.copy (snd rows.(i)) in
+              r.(pick mod k) <- -3;
+              if kind = 9 && k > 1 then r.((pick + 1) mod k) <- -4;
+              rows.(i) <- (fst rows.(i), r)
             | _ -> ())
         shape;
       let flat f =
         Array.concat
-          (Array.to_list
-             (Array.map
-                (fun row -> Array.map (fun v -> 0.5 *. float_of_int v) (f row))
-                rows))
+          (Array.to_list (Array.map (fun row -> Array.map dyadic (f row)) rows))
       in
       return
         ( k,
@@ -250,13 +272,196 @@ let prop_kernel_matches_reference =
       Sample.Engine.sweep_rows ~k ~need ~power_aware ~eps ~load ~rat ~power
       = kernel_reference ~k ~need ~power_aware ~eps ~load ~rat ~power)
 
+(* Merge inputs: two sides of rows at a load level and a RAT level
+   plus a per-sample jitter of 0 or 0.5, so rows at different load
+   levels are sketch-ordered and RAT rows cover one another often
+   enough for the pair filter to fire.  Some rows copy another's load
+   row (duplicate loads), its RAT row (equal RAT rows, or one raised in
+   a single sample) or the whole row reversed (exact ties in both mean
+   keys), on either side; some have their zeros negated; at most one
+   row gets a NaN RAT sample. *)
+let arb_merge =
+  let gen =
+    QCheck.Gen.(
+      let* k = oneofl [ 1; 2; 7; 64 ] in
+      let* need =
+        frequency [ (4, return k); (1, return (k + 1)); (1, int_range 1 k) ]
+      in
+      let* power_aware = bool in
+      let* eps = oneofl [ 0.0; 0.5 ] in
+      let* na = int_range 1 9 and* nb = int_range 1 9 in
+      (* Rows of both sides in one array, A first, so shapes can tie a
+         row of B to one of A. *)
+      let n = na + nb in
+      let* base =
+        array_repeat n
+          (quad (int_range 0 3) (int_range 0 4)
+             (array_repeat k (int_range 0 1))
+             (array_repeat k (int_range 0 1)))
+      in
+      let* shape = array_repeat n (pair (int_range 0 7) (int_range 0 1000)) in
+      let* power = array_repeat n (int_range 0 3) in
+      let* nan = int_range 0 2 and* at = int_range 0 1000 in
+      let rows =
+        Array.map
+          (fun (ll, rl, lj, rj) ->
+            ( Array.map (fun j -> (2 * ll) + j) lj,
+              Array.map (fun j -> (2 * rl) + j) rj ))
+          base
+      in
+      Array.iteri
+        (fun i (kind, pick) ->
+          if i > 0 then begin
+            let l, r = rows.(pick mod i) in
+            let rev a = Array.init k (fun t -> a.(k - 1 - t)) in
+            match kind with
+            | 0 -> rows.(i) <- (Array.copy l, snd rows.(i))
+            | 1 -> rows.(i) <- (fst rows.(i), Array.copy r)
+            | 2 -> rows.(i) <- (rev l, rev r)
+            | 3 ->
+              let neg = Array.map (fun v -> if v = 0 then -2 else v) in
+              rows.(i) <- (neg (fst rows.(i)), neg (snd rows.(i)))
+            | 4 ->
+              (* Covers the picked row's RAT, which misses covering it
+                 in exactly one sample. *)
+              let r = Array.copy r in
+              r.(pick mod k) <- r.(pick mod k) + 1;
+              rows.(i) <- (fst rows.(i), r)
+            | _ -> ()
+          end)
+        shape;
+      let rows =
+        Array.mapi
+          (fun i (l, r) ->
+            (Array.map dyadic l, Array.map dyadic r, 0.25 *. float_of_int power.(i)))
+          rows
+      in
+      (* Two cases in three get one NaN RAT sample. *)
+      if nan < 2 then begin
+        let _, r, _ = rows.(at mod n) in
+        r.(at mod k) <- Float.nan
+      end;
+      return
+        (k, need, power_aware, eps, Array.sub rows 0 na, Array.sub rows na nb))
+  in
+  QCheck.make gen ~print:(fun (k, need, power_aware, eps, a, b) ->
+      let side rows =
+        String.concat " "
+          (Array.to_list
+             (Array.map
+                (fun (l, r, p) ->
+                  let row a =
+                    String.concat "," (Array.to_list (Array.map (Printf.sprintf "%g") a))
+                  in
+                  Printf.sprintf "[%s|%s|%g]" (row l) (row r) p)
+                rows))
+      in
+      Printf.sprintf "k=%d need=%d power_aware=%b eps=%g a=%s b=%s" k need
+        power_aware eps (side a) (side b))
+
+(* Does [Sample.Engine.merge_rows] return the same kept rows, order,
+   choices and powers as the sweep over the explicit cross product? *)
+let merge_agrees (k, need, power_aware, eps, a, b) =
+  let sol base x (load, rat, power) =
+    {
+      Sample.Engine.load;
+      rat;
+      power;
+      choice = Bufins.Sol.At_sink (base + x);
+    }
+  in
+  let sa = Array.mapi (sol 0) a and sb = Array.mapi (sol 1000) b in
+  let na = Array.length sa and nb = Array.length sb in
+  let got =
+    Sample.Engine.merge_rows ~k ~need ~power_aware ~eps ~node:7
+      ~check:ignore sa sb
+  in
+  (* Candidate [c] is pair number [ncand - 1 - c] in row-major
+     order. *)
+  let ncand = na * nb in
+  let pair c = ((ncand - 1 - c) / nb, (ncand - 1 - c) mod nb) in
+  let row f =
+    Array.concat
+      (List.init ncand (fun c ->
+           let i, j = pair c in
+           Array.init k (fun t -> f sa.(i) sb.(j) t)))
+  in
+  let load =
+    row (fun x y t -> x.Sample.Engine.load.(t) +. y.Sample.Engine.load.(t))
+  in
+  let rat =
+    row (fun x y t ->
+        Float.min x.Sample.Engine.rat.(t) y.Sample.Engine.rat.(t))
+  in
+  let power =
+    Array.init ncand (fun c ->
+        let i, j = pair c in
+        sa.(i).Sample.Engine.power +. sb.(j).Sample.Engine.power)
+  in
+  let want =
+    Sample.Engine.sweep_rows ~k ~need ~power_aware ~eps ~load ~rat ~power
+  in
+  let bits a = Array.map Int64.bits_of_float a in
+  Array.length got = Array.length want
+  && Array.for_all2
+       (fun (s : Sample.Engine.sol) c ->
+         let i, j = pair c in
+         s.Sample.Engine.choice
+         = Bufins.Sol.Merged
+             {
+               node = 7;
+               left = Bufins.Sol.At_sink i;
+               right = Bufins.Sol.At_sink (1000 + j);
+             }
+         && bits s.Sample.Engine.load = bits (Array.sub load (c * k) k)
+         && bits s.Sample.Engine.rat = bits (Array.sub rat (c * k) k)
+         && Int64.bits_of_float s.Sample.Engine.power
+            = Int64.bits_of_float power.(c))
+       got want
+
+let prop_merge_matches_cross_product =
+  QCheck.Test.make ~count:500
+    ~name:"merge (pair filter) = sweep over the explicit cross product"
+    arb_merge merge_agrees
+
+let test_merge_filter_cases () =
+  (* Hand cases the filter must not get wrong.  Cover undecided by the
+     sketch and failing only in the last sample: A row 0 has less load
+     than A row 1 and RAT (5, 5, 4) against B's (4, 4, 5), so pair
+     (0, 0) does not dominate pair (1, 0) and both survive.  Equal
+     rows: A's two rows are identical, so pairs (0, 0) and (1, 0) tie
+     in every key and the stable sort keeps (1, 0); the filter, which
+     needs a strictly smaller mean load, must skip neither. *)
+  let row v = Array.make 3 v in
+  let cover =
+    ( 3,
+      [| (row 1.0, [| 5.0; 5.0; 4.0 |], 0.0); (row 2.0, row 9.0, 0.0) |],
+      [| (row 1.0, [| 4.0; 4.0; 5.0 |], 0.0) |] )
+  in
+  let ties =
+    ( 1,
+      [| ([| 1.0 |], [| 9.0 |], 0.0); ([| 1.0 |], [| 9.0 |], 0.0) |],
+      [| ([| 1.0 |], [| 4.0 |], 0.0); ([| 2.0 |], [| 3.0 |], 0.0) |] )
+  in
+  List.iter
+    (fun (what, (k, a, b)) ->
+      List.iter
+        (fun power_aware ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, power_aware=%b" what power_aware)
+            true
+            (merge_agrees (k, k, power_aware, 0.0, a, b)))
+        [ false; true ])
+    [ ("cover decided by the last sample", cover); ("equal load rows", ties) ]
+
 let test_counters_balance () =
   (* Every candidate handed to the sweep is kept or pruned; the pairs it
      considered are counted. *)
   with_obs true (fun () ->
       let get name = Obs.Counters.get Obs.Counters.global name in
       let g0 = get "sample.generated" and k0 = get "sample.kept"
-      and p0 = get "sample.pruned" and c0 = get "sample.dominance_checks" in
+      and p0 = get "sample.pruned" and c0 = get "sample.dominance_checks"
+      and s0 = get "sample.pairs_skipped" in
       let die = 4000.0 in
       let tree =
         Rctree.Generate.random_steiner ~seed:7 ~sinks:24 ~die_um:die ()
@@ -266,6 +471,10 @@ let test_counters_balance () =
       and p = get "sample.pruned" - p0 in
       Alcotest.(check bool) "candidates were generated" true (g > 0);
       Alcotest.(check int) "generated = kept + pruned" g (k + p);
+      (* Merge pairs the filter skips count as generated and pruned. *)
+      let sk = get "sample.pairs_skipped" - s0 in
+      Alcotest.(check bool) "merge pairs were skipped" true (sk > 0);
+      Alcotest.(check bool) "pairs_skipped <= pruned" true (sk <= p);
       Alcotest.(check bool) "dominance checks counted" true
         (get "sample.dominance_checks" - c0 > 0))
 
@@ -490,4 +699,7 @@ let suite =
     Alcotest.test_case "sampled response round-trips (v1 and v2)" `Quick
       test_sampled_response_roundtrips;
     Alcotest.test_case "v2 request sample fields" `Quick test_v2_request_fields;
+    qcheck prop_merge_matches_cross_product;
+    Alcotest.test_case "merge pair filter hand cases" `Quick
+      test_merge_filter_cases;
   ]

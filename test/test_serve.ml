@@ -213,7 +213,63 @@ let test_cache_key () =
   Alcotest.(check bool) "mode splits" false
     (k
     = Serve.Cache.key_of_request
-        { req with Serve.Protocol.mode = Experiments.Common.Nom })
+        { req with Serve.Protocol.mode = Experiments.Common.Nom });
+  (* The key belongs to the request, not to the wire it arrived on: a
+     request decoded from v1 text and the same one decoded from v2
+     bytes share one key.  Every payload field away from its default,
+     so each is present in both encodings. *)
+  let key = Serve.Cache.key_of_request in
+  let base =
+    {
+      req with
+      Serve.Protocol.id = 7;
+      deadline_ms = 300;
+      mc_trials = 10;
+      wire_sizing = true;
+      samples = 64;
+      relax = 0.75;
+      btypes = 4;
+      objective = Bufins.Dominance.Weighted 0.5;
+      eps_power = 0.25;
+    }
+  in
+  let via_v1 =
+    Serve.Protocol.decode_request (Serve.Protocol.encode_request base)
+  in
+  let via_v2 =
+    Serve.Codec_bin.decode_request (Serve.Codec_bin.encode_request base)
+  in
+  Alcotest.(check string) "v1 and v2 decodes share a key" (key via_v1)
+    (key via_v2);
+  Alcotest.(check string) "decoding keeps the key" (key base) (key via_v1);
+  List.iter
+    (fun (what, r) ->
+      Alcotest.(check bool) (what ^ " splits") false (key r = key base))
+    [
+      ( "tree",
+        {
+          base with
+          Serve.Protocol.tree =
+            Rctree.Generate.random_steiner ~seed:12 ~sinks:9 ~die_um:2000.0 ();
+        } );
+      ( "rule parameters",
+        {
+          base with
+          Serve.Protocol.rule = Bufins.Prune.two_param ~p_l:0.5 ~p_t:0.6 ();
+        } );
+      ("samples", { base with Serve.Protocol.samples = 65 });
+      ("relax", { base with Serve.Protocol.relax = 0.8 });
+      ("btypes", { base with Serve.Protocol.btypes = 2 });
+      ( "objective",
+        { base with Serve.Protocol.objective = Bufins.Dominance.Weighted 0.25 }
+      );
+      ("eps_power", { base with Serve.Protocol.eps_power = 0.5 });
+      ("mc", { base with Serve.Protocol.mc_trials = 11 });
+      ("wire_sizing", { base with Serve.Protocol.wire_sizing = false });
+    ];
+  Alcotest.(check string) "id and deadline ignored on a full request"
+    (key base)
+    (key { base with Serve.Protocol.id = 8; deadline_ms = 0 })
 
 let test_cache_lru () =
   let cache = Serve.Cache.create ~entries:2 in
