@@ -652,31 +652,23 @@ let run_cluster ~smoke () =
     cl_codec = codec;
   }
 
-(* ---------- compiled-tape: tree walk vs cold vs warm ---------- *)
+(* ---------- compiled-tape: cold vs warm ---------- *)
 
 type tape_row = {
   tp_name : string;
   tp_sinks : int;
-  tp_tree_ns : float;
   tp_cold_ns : float;
   tp_warm_ns : float;
-  tp_tree_bytes : float;
-  tp_warm_bytes : float;
 }
 
-(* Table-1 nets r1..r5 through the same WID/2P DP three ways: the
-   recursive tree walk ([Engine.run]), a cold tape (compile then
-   execute) and a warm tape (execute a precompiled tape — the serving
-   cluster's tape-cache-hit path).  Identity between the walk and both
-   tape runs is fatal-checked, as is the allocation contract: the warm
-   path must not allocate more per op than the walk it replaces.  The
-   model is rebuilt inside [run_algo] on every call, so each timed run
-   consumes a fresh device-id stream. *)
+(* Table-1 nets r1..r5 through the same WID/2P DP two ways: a cold
+   tape (compile then execute, what [run] does) and a warm tape
+   (execute a precompiled tape — the serving cluster's tape-cache-hit
+   path).  The difference is the compile cost the tape cache saves.
+   The model is rebuilt inside [run_algo] on every call, so each timed
+   run consumes a fresh device-id stream. *)
 let run_tape_bench ~smoke () =
   let setup = Experiments.Common.default_setup in
-  (* The warm-path win over the walk is a couple of percent — the same
-     order as container CPU jitter — so the noise floor needs a few
-     best-of rounds to converge. *)
   let reps = if smoke then 4 else 5 in
   let rows =
     List.map
@@ -693,19 +685,7 @@ let run_tape_bench ~smoke () =
             Experiments.Common.Wid tree
         in
         let tape = Compile.Tape.compile tree in
-        (* Identity first (doubling as warm-up): the walk and both tape
-           paths must agree structurally before any of them is timed. *)
-        let walk_r = run () in
-        let warm_r = run ~tape () in
-        let cold_r = run ~tape:(Compile.Tape.compile tree) () in
-        if
-          strip_result warm_r <> strip_result walk_r
-          || strip_result cold_r <> strip_result walk_r
-        then begin
-          Printf.eprintf "FATAL: tape run diverged from tree walk on %s\n"
-            name;
-          exit 1
-        end;
+        ignore (run ~tape ());
         (* Interleaved best-of rounds with the GC drained before every
            measurement: a DP run allocates ~1000x the frontier it keeps,
            so major-collection cycles straddling run boundaries would
@@ -717,60 +697,29 @@ let run_tape_bench ~smoke () =
           ignore (f ());
           Unix.gettimeofday () -. t0
         in
-        let tree_ns = ref infinity
-        and warm_ns = ref infinity
-        and cold_ns = ref infinity in
+        let warm_ns = ref infinity and cold_ns = ref infinity in
         for _ = 1 to reps do
-          tree_ns := Float.min !tree_ns (time (fun () -> run ()));
           warm_ns := Float.min !warm_ns (time (fun () -> run ~tape ()));
-          cold_ns :=
-            Float.min !cold_ns
-              (time (fun () -> run ~tape:(Compile.Tape.compile tree) ()))
+          cold_ns := Float.min !cold_ns (time (fun () -> run ()))
         done;
-        let tree_ns = !tree_ns *. 1e9
-        and warm_ns = !warm_ns *. 1e9
-        and cold_ns = !cold_ns *. 1e9 in
-        let alloc f =
-          Gc.full_major ();
-          let before = Gc.allocated_bytes () in
-          ignore (f ());
-          Gc.allocated_bytes () -. before
-        in
-        let tree_bytes = alloc (fun () -> run ()) in
-        let warm_bytes = alloc (fun () -> run ~tape ()) in
         {
           tp_name = name;
           tp_sinks = info.Rctree.Benchmarks.sinks;
-          tp_tree_ns = tree_ns;
-          tp_cold_ns = cold_ns;
-          tp_warm_ns = warm_ns;
-          tp_tree_bytes = tree_bytes;
-          tp_warm_bytes = warm_bytes;
+          tp_cold_ns = !cold_ns *. 1e9;
+          tp_warm_ns = !warm_ns *. 1e9;
         })
       [ "r1"; "r2"; "r3"; "r4"; "r5" ]
   in
   Printf.printf "== compiled tape (WID/2P, best of %d) ==\n" reps;
-  Printf.printf "%-4s %6s %12s %12s %12s %9s %9s %9s\n" "net" "sinks"
-    "tree ns/op" "cold ns/op" "warm ns/op" "warm/tree" "tree MB" "warm MB";
+  Printf.printf "%-4s %6s %12s %12s %9s\n" "net" "sinks" "cold ns/op"
+    "warm ns/op" "warm/cold";
   List.iter
     (fun r ->
-      Printf.printf "%-4s %6d %12.0f %12.0f %12.0f %9.2f %9.1f %9.1f\n"
-        r.tp_name r.tp_sinks r.tp_tree_ns r.tp_cold_ns r.tp_warm_ns
-        (r.tp_warm_ns /. Float.max r.tp_tree_ns 1.0)
-        (r.tp_tree_bytes /. 1e6)
-        (r.tp_warm_bytes /. 1e6))
+      Printf.printf "%-4s %6d %12.0f %12.0f %9.2f\n" r.tp_name r.tp_sinks
+        r.tp_cold_ns r.tp_warm_ns
+        (r.tp_warm_ns /. Float.max r.tp_cold_ns 1.0))
     rows;
   print_newline ();
-  List.iter
-    (fun r ->
-      if r.tp_warm_bytes > r.tp_tree_bytes then begin
-        Printf.eprintf
-          "FATAL: warm tape allocates more than the tree walk on %s (%.0f > \
-           %.0f bytes/op)\n"
-          r.tp_name r.tp_warm_bytes r.tp_tree_bytes;
-        exit 1
-      end)
-    rows;
   rows
 
 (* ---------- buffer-library size: frontier growth + identity gates ---------- *)
@@ -1151,19 +1100,15 @@ let write_bench_json ~path ~smoke ~micro ~probe ~par ~sample ~tape ~btypes
            (if i = List.length sample.sm_rows - 1 then "" else ",")))
     sample.sm_rows;
   Buffer.add_string buf "  ]}";
-  Buffer.add_string buf ",\n  \"tape\": {\"identical\": true, \"rows\": [\n";
+  Buffer.add_string buf ",\n  \"tape\": {\"rows\": [\n";
   List.iteri
     (fun i r ->
       Buffer.add_string buf
         (Printf.sprintf
-           "    {\"name\": \"%s\", \"sinks\": %d, \"tree_ns_per_op\": %s, \
-            \"cold_ns_per_op\": %s, \"warm_ns_per_op\": %s, \
-            \"tree_allocated_bytes\": %s, \"warm_allocated_bytes\": %s}%s\n"
-           (json_escape r.tp_name) r.tp_sinks
-           (json_float r.tp_tree_ns) (json_float r.tp_cold_ns)
+           "    {\"name\": \"%s\", \"sinks\": %d, \"cold_ns_per_op\": %s, \
+            \"warm_ns_per_op\": %s}%s\n"
+           (json_escape r.tp_name) r.tp_sinks (json_float r.tp_cold_ns)
            (json_float r.tp_warm_ns)
-           (json_float r.tp_tree_bytes)
-           (json_float r.tp_warm_bytes)
            (if i = List.length tape - 1 then "" else ",")))
     tape;
   Buffer.add_string buf "  ]}";

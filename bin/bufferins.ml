@@ -71,7 +71,7 @@ let dump_obs ~obs ~trace =
 
 let run bench sinks htree file algo_s rule_s p seed mc homogeneous save_tree
     wire_sizing save_buffering load_limit lib_file btypes jobs par_grain samples
-    relax objective_s eps_power use_tape obs trace =
+    relax objective_s eps_power obs trace =
   if obs || trace <> None then Obs.Control.enable ();
   let source =
     match (bench, sinks, htree, file) with
@@ -167,15 +167,11 @@ let run bench sinks htree file algo_s rule_s p seed mc homogeneous save_tree
           Format.printf "tree written to %s@." path)
         save_tree;
       try
-        (* --tape lowers the tree to a flat instruction tape first and
-           runs the DP through the interpreter; results are
-           byte-identical to the tree walk. *)
-        let tape = if use_tape then Some (Compile.Tape.compile tree) else None in
         let buffers, widths, stats, load_limit_met, label, sampled, power =
           if rule_s = "sample" then begin
             let r =
               Experiments.Common.run_sampled setup ~wire_sizing ?load_limit
-                ~samples ~relax ~seed ~objective ~eps_power ?tape ~spatial
+                ~samples ~relax ~seed ~objective ~eps_power ~spatial
                 ~grid algo tree
             in
             ( r.Sample.Engine.buffers,
@@ -192,7 +188,7 @@ let run bench sinks htree file algo_s rule_s p seed mc homogeneous save_tree
           else begin
             let r =
               Experiments.Common.run_algo setup ~rule ~wire_sizing ?load_limit
-                ~objective ~eps_power ?tape ~spatial ~grid algo tree
+                ~objective ~eps_power ~spatial ~grid algo tree
             in
             ( r.Bufins.Engine.buffers,
               r.Bufins.Engine.widths,
@@ -367,20 +363,6 @@ let eps_power_arg =
                the Pareto frontier; 0 (default) keeps the exact \
                frontier.  Only read under a power-aware --objective.")
 
-let tape_arg =
-  Arg.(value & vflag false
-         [
-           ( true,
-             info [ "tape" ]
-               ~doc:"Precompile the tree to a flat instruction tape and run \
-                     the DP through the tape interpreter.  Byte-identical \
-                     results; the lowering cost is paid once, which wins \
-                     when the same topology is optimised repeatedly." );
-           ( false,
-             info [ "no-tape" ]
-               ~doc:"Walk the tree directly (the default)." );
-         ])
-
 let obs_arg =
   Arg.(value & flag & info [ "obs" ]
          ~doc:"Enable observability (spans + counters) and print a text \
@@ -403,6 +385,6 @@ let cmd =
       $ rule_arg $ p_arg $ seed_arg $ mc_arg $ homogeneous_arg $ save_arg
       $ wire_sizing_arg $ save_buffering_arg $ load_limit_arg $ lib_arg
       $ btypes_arg $ jobs_arg $ par_grain_arg $ samples_arg $ relax_arg
-      $ objective_arg $ eps_power_arg $ tape_arg $ obs_arg $ trace_arg)
+      $ objective_arg $ eps_power_arg $ obs_arg $ trace_arg)
 
 let () = exit (Cmd.eval' cmd)

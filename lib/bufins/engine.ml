@@ -205,18 +205,17 @@ let default_grain = 64
 let obs_nodes = Obs.Counters.counter Obs.Counters.global "dp.nodes"
 let obs_merged = Obs.Counters.counter Obs.Counters.global "dp.merged"
 
-(* Budget checks, shared verbatim by the tree walk and the tape
-   interpreter so both raise with identical messages at identical
-   points. *)
-let make_checks config ~t_start =
+(* Budget checks, shared by all three engines so they raise with
+   identical messages. *)
+let make_checks budget ~t_start =
   let check_time () =
-    match config.budget.max_seconds with
+    match budget.max_seconds with
     | Some limit when Unix.gettimeofday () -. t_start > limit ->
       raise (Budget_exceeded (Printf.sprintf "time limit %.1fs exceeded" limit))
     | _ -> ()
   in
   let check_count ~where n =
-    match config.budget.max_candidates with
+    match budget.max_candidates with
     | Some limit when n > limit ->
       raise
         (Budget_exceeded
@@ -416,45 +415,28 @@ let insert_and_prune config ~convex ~energies ~same_types ~flip_types
     out
   end
 
-(* Combine the lifted child frontiers at a node: pass-through below a
-   degree-1 node, linear or cross-product merge plus a prune at a
-   Steiner point.  Identical on the tree-walking and tape paths;
-   [where] lets the tape supply its precompiled budget-check label. *)
-let combine_lifted ?where config ~node ~check_count ~check_time
-    (lifted : Sol.t array array) =
-  if Array.length lifted = 1 then lifted.(0)
-  else begin
-    assert (Array.length lifted = 2);
-    let merged =
-      if Prune.is_linear config.rule then
-        merge_linear ~node lifted.(0) lifted.(1)
-      else
-        merge_cross ~node
-          ~check:(fun c ->
-            check_count
-              ~where:
-                (match where with
-                | Some w -> w
-                | None -> Printf.sprintf "merge at node %d" node)
-              c;
-            (* A 4P cross product is quadratic: without a deadline
-               check inside the candidate loop, one pathological merge
-               can overshoot a serve deadline by its whole runtime. *)
-            if c land 1023 = 0 then check_time ())
-          lifted.(0) lifted.(1)
-    in
-    (* The lifted child frontiers are dead the moment the merge has
-       combined them: clear the slots so both arrays can be collected
-       while the (larger) merged set is pruned, instead of pinning
-       memory across every concurrently live task. *)
-    lifted.(0) <- [||];
-    lifted.(1) <- [||];
-    if Obs.Control.on () then Obs.Counters.incr obs_merged (Array.length merged);
-    if Dominance.power_aware config.power_objective then
-      Prune.prune_sub_power config.rule ~eps:config.eps_power merged
-        (Array.length merged)
-    else Prune.prune config.rule merged
-  end
+(* Merge two lifted child frontiers at a Steiner point — linear or
+   cross-product — and prune.  [where] is the tape's precompiled
+   budget-check label. *)
+let combine_lifted ~where config ~node ~check_count ~check_time
+    (a : Sol.t array) (b : Sol.t array) =
+  let merged =
+    if Prune.is_linear config.rule then merge_linear ~node a b
+    else
+      merge_cross ~node
+        ~check:(fun c ->
+          check_count ~where c;
+          (* A 4P cross product is quadratic: without a deadline check
+             inside the candidate loop, one pathological merge can
+             overshoot a serve deadline by its whole runtime. *)
+          if c land 1023 = 0 then check_time ())
+        a b
+  in
+  if Obs.Control.on () then Obs.Counters.incr obs_merged (Array.length merged);
+  if Dominance.power_aware config.power_objective then
+    Prune.prune_sub_power config.rule ~eps:config.eps_power merged
+      (Array.length merged)
+  else Prune.prune config.rule merged
 
 (* Merge two dual-polarity frontiers side by side: even with even, odd
    with odd — a merged candidate must deliver the same parity to both
@@ -462,24 +444,22 @@ let combine_lifted ?where config ~node ~check_count ~check_time
    generated.  The odd merge is skipped entirely (not run on empties)
    when both sides are empty, keeping the inverter-free instruction
    stream identical to the historical engine. *)
-let combine_frontiers ?where config ~node ~check_count ~check_time (a : frontier)
+let combine_frontiers ~where config ~node ~check_count ~check_time (a : frontier)
     (b : frontier) =
   let ev =
-    combine_lifted ?where config ~node ~check_count ~check_time [| a.ev; b.ev |]
+    combine_lifted ~where config ~node ~check_count ~check_time a.ev b.ev
   in
   let od =
     if Array.length a.od = 0 && Array.length b.od = 0 then [||]
     else
-      combine_lifted ?where config ~node ~check_count ~check_time
-        [| a.od; b.od |]
+      combine_lifted ~where config ~node ~check_count ~check_time a.od b.od
   in
   { ev; od }
 
 (* Per-node bookkeeping around the frontier computation [f]: budget
-   checks, observability, and the peak/total statistics.  [where]
-   overrides the label built for the budget check — the tape passes
-   its precompiled one. *)
-let node_wrap ?where ~check_time ~check_count ~peak ~total id f =
+   checks, observability, and the peak/total statistics.  [where] is
+   the tape's precompiled budget-check label. *)
+let node_wrap ~where ~check_time ~check_count ~peak ~total id f =
   check_time ();
   let obs = Obs.Control.on () in
   let t0 = if obs then Obs.Span.now_ns () else 0 in
@@ -489,10 +469,7 @@ let node_wrap ?where ~check_time ~check_count ~peak ~total id f =
     Obs.Span.record ~name:"node" ~cat:"dp" ~t0_ns:t0
   end;
   let len = frontier_size front in
-  check_count
-    ~where:
-      (match where with Some w -> w | None -> Printf.sprintf "node %d" id)
-    len;
+  check_count ~where len;
   let rec bump_peak () =
     let cur = Atomic.get peak in
     if len > cur && not (Atomic.compare_and_set peak cur len) then bump_peak ()
@@ -502,8 +479,8 @@ let node_wrap ?where ~check_time ~check_count ~peak ~total id f =
   Log.debug (fun m -> m "node %d: %d candidates kept" id len);
   front
 
-(* Root-frontier epilogue shared by both execution paths: load-limit
-   gate, driver lift, objective scan, and result assembly. *)
+(* Root-frontier epilogue: load-limit gate, driver lift, objective
+   scan, and result assembly. *)
 let finish config ~t_start ~peak ~total ~n root_sols =
   let tech = config.tech in
   (* The driver is a gate too: apply the load limit at the root if
@@ -607,231 +584,20 @@ let finish config ~t_start ~peak ~total ~n root_sols =
       };
   }
 
-let run ?pool ?(grain = default_grain) config ~model tree =
-  (* Wall-clock, not [Sys.time]: CPU time sums over domains, so it
-     over-counts budgets and runtimes as soon as anything else runs in
-     parallel with the DP. *)
-  let t_start = Unix.gettimeofday () in
-  let check_time, check_count = make_checks config ~t_start in
-  let n = Rctree.Tree.node_count tree in
-  let results : frontier array = Array.make n empty_frontier in
-  let same_types, flip_types = Device.Buffer.partition_indices config.library in
-  let has_inv = Array.length flip_types > 0 in
-  let convex = use_convex config in
-  let energies = energies_of config in
-  (* Atomics, not refs: subtree tasks on different domains bump them
-     concurrently.  Max and sum commute, so the reported stats are
-     identical at any job count. *)
-  let peak = Atomic.make 0 in
-  let total = Atomic.make 0 in
-  let wire_variation = Varmodel.Model.wire_frac model > 0.0 in
-  let post = Rctree.Tree.postorder tree in
-  (* Deterministic device-id pre-pass.  The model hands out variation
-     source ids from a mutable counter, and the output bytes depend on
-     them; consuming them inside the DP would make ids — and therefore
-     results — depend on task scheduling.  Instead, walk the tree in
-     the exact order the sequential DP consumes ids (postorder; per
-     non-sink node its child edges in order; per edge one wire CMP id
-     when wire variation is on, then one id per library buffer) and
-     record each edge's first id.  The DP below computes ids from this
-     base, so any schedule produces the bytes the sequential walk
-     does — and the model's counter advances exactly as before. *)
-  let nlib = Array.length config.library in
-  let ids_per_edge = (if wire_variation then 1 else 0) + nlib in
-  let device_base = Array.make n (-1) in
-  Array.iter
-    (fun id ->
-      if not (Rctree.Tree.is_sink tree id) then
-        List.iter
-          (fun (child, _length) ->
-            device_base.(child) <- Varmodel.Model.fresh_device_id model;
-            for _ = 2 to ids_per_edge do
-              ignore (Varmodel.Model.fresh_device_id model)
-            done)
-          (Rctree.Tree.children tree id))
-    post;
-  (* Per-site data below is written and read only by the one task that
-     owns the node (the site of an edge is the parent's node id), so
-     the plain array is race-free under the scheduler. *)
-  let sites : Varmodel.Model.site option array = Array.make n None in
-  let site_at id =
-    match sites.(id) with
-    | Some s -> s
-    | None ->
-      let x, y = Rctree.Tree.position tree id in
-      let s = Varmodel.Model.site model ~x ~y in
-      sites.(id) <- Some s;
-      s
-  in
-  (* Lift a child's candidate set through the edge above it: wire-only
-     candidates plus one buffered variant per library type.  The
-     buffer's canonical forms are built once per (site, type): the same
-     physical device serves every candidate that buffers here, so all
-     of them share its variation sources.  The location-dependent part
-     of those forms (spatial weights, heterogeneity ramp) depends only
-     on the site's coordinates, so it is computed once per node and
-     shared by every edge hanging under it.  Candidates are staged in
-     the domain's arena buffers — only the pruned frontier is a fresh
-     allocation. *)
-  let lift ~child ~length (f : frontier) =
-    let obs = Obs.Control.on () in
-    let t0 = if obs then Obs.Span.now_ns () else 0 in
-    let site_node =
-      match Rctree.Tree.parent tree child with Some p -> p | None -> child
-    in
-    let wire_rc =
-      if wire_variation then begin
-        (* One CMP source per physical edge, shared by all widths. *)
-        let edge_id = device_base.(child) in
-        let bx, by = Rctree.Tree.position tree site_node in
-        let cx, cy = Rctree.Tree.position tree child in
-        let mx = 0.5 *. (bx +. cx) and my = 0.5 *. (by +. cy) in
-        Array.map
-          (fun wire ->
-            Varmodel.Model.wire_forms model ~edge_id ~x:mx ~y:my
-              ~r0:wire.Device.Wire_lib.res_per_um
-              ~c0:wire.Device.Wire_lib.cap_per_um)
-          config.wires
-      end
-      else [||]
-    in
-    let wired, nw = stage_wired config ~wire_rc ~child ~length f.ev in
-    let cross, ncross = stage_wired_plain config ~wire_rc ~child ~length f.od in
-    let psite = site_at site_node in
-    let buf_base = device_base.(child) + if wire_variation then 1 else 0 in
-    let buf_forms =
-      Array.init nlib (fun bi ->
-          let b = config.library.(bi) in
-          let device_id = buf_base + bi in
-          let cb =
-            Varmodel.Model.site_device_form model psite ~device_id
-              ~nominal:b.Device.Buffer.cap_ff
-          in
-          let tb =
-            Varmodel.Model.site_device_form model psite ~device_id
-              ~nominal:b.Device.Buffer.delay_ps
-          in
-          (cb, tb, b.Device.Buffer.res_kohm))
-    in
-    (* The even side's wired set lives in the arena's stage_a, the odd
-       side's in a plain array, so both survive the two insert/prune
-       passes (each borrows stage_b for its candidates and copies the
-       pruned frontier out before the other starts). *)
-    let ev =
-      insert_and_prune config ~convex ~energies ~same_types ~flip_types
-        ~buf_forms ~child ~wired ~nw ~cross ~ncross
-    in
-    let od =
-      if (not has_inv) && ncross = 0 then [||]
-      else
-        insert_and_prune config ~convex ~energies ~same_types ~flip_types
-          ~buf_forms ~child ~wired:cross ~nw:ncross ~cross:wired ~ncross:nw
-    in
-    if obs then Obs.Span.record ~name:"lift" ~cat:"dp" ~t0_ns:t0;
-    { ev; od }
-  in
-  let compute id =
-    results.(id) <-
-      node_wrap ~check_time ~check_count ~peak ~total id (fun () ->
-          match Rctree.Tree.sink tree id with
-          | Some s ->
-            {
-              ev =
-                [| Sol.of_sink ~node:id ~cap:s.Rctree.Tree.sink_cap
-                     ~rat:s.Rctree.Tree.sink_rat |];
-              od = [||];
-            }
-          | None ->
-            let lifted =
-              List.map
-                (fun (child, length) ->
-                  let childf = results.(child) in
-                  results.(child) <- empty_frontier;
-                  let l = lift ~child ~length childf in
-                  check_count
-                    ~where:(Printf.sprintf "edge above node %d" child)
-                    (frontier_size l);
-                  l)
-                (Rctree.Tree.children tree id)
-            in
-            (match lifted with
-            | [ f ] -> f
-            | [ a; b ] ->
-              combine_frontiers config ~node:id ~check_count ~check_time a b
-            | _ -> assert false))
-  in
-  (match pool with
-  | Some pool when Exec.Pool.jobs pool > 1 && n > max 1 grain ->
-    (* Task-parallel subtree DP.  Nodes whose subtree exceeds the grain
-       become tasks; each task first processes its small child subtrees
-       inline (sequential postorder), then computes its own node, and
-       the dependency-counted release in [Exec.Pool.run_graph] starts a
-       merge node's task only once all its subtree tasks finished.
-       Merge order stays the fixed child order, so the frontier bytes
-       are independent of which domain ran what when. *)
-    let grain = max 1 grain in
-    let size = Array.make n 1 in
-    Array.iter
-      (fun id ->
-        List.iter
-          (fun (c, _) -> size.(id) <- size.(id) + size.(c))
-          (Rctree.Tree.children tree id))
-      post;
-    let ntasks = ref 0 in
-    let task_index = Array.make n (-1) in
-    Array.iter
-      (fun id ->
-        if size.(id) > grain then begin
-          task_index.(id) <- !ntasks;
-          incr ntasks
-        end)
-      post;
-    (* size(root) = n > grain, so the root is always a task. *)
-    let task_ids = Array.make !ntasks 0 in
-    Array.iter
-      (fun id -> if task_index.(id) >= 0 then task_ids.(task_index.(id)) <- id)
-      post;
-    let deps =
-      Array.map
-        (fun id ->
-          Rctree.Tree.children tree id
-          |> List.filter_map (fun (c, _) ->
-                 if task_index.(c) >= 0 then Some task_index.(c) else None)
-          |> Array.of_list)
-        task_ids
-    in
-    let rec inline_subtree id =
-      List.iter (fun (c, _) -> inline_subtree c) (Rctree.Tree.children tree id);
-      compute id
-    in
-    Exec.Pool.run_graph pool ~deps ~run:(fun ti ->
-        let id = task_ids.(ti) in
-        List.iter
-          (fun (c, _) -> if task_index.(c) < 0 then inline_subtree c)
-          (Rctree.Tree.children tree id);
-        compute id)
-  | _ ->
-    (* No pool (or one job, or a net below the grain): exactly the
-       classical sequential postorder loop. *)
-    Array.iter compute post);
-  if Obs.Control.on () then Obs.Span.flush ();
-  finish config ~t_start ~peak ~total ~n results.(Rctree.Tree.root tree).ev
-
-(* ------------------------------------------------------------------ *)
-(* Tape execution.                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Device-id binding for a compiled tape.  The tape itself is
-   model-independent; binding attaches it to a concrete model by
-   consuming fresh device ids in tape edge order — which is exactly
-   the sequential pre-pass order of [run] (postorder over parent
-   nodes, child edges in order) — so any schedule produces the bytes
-   the sequential walk does.  Only the ids are consumed up front: the
-   wire and buffer canonical forms they feed are pure functions of
-   (model, ids, coordinates) and are built at the op that uses them,
-   keeping the walk's cache locality (a form is consumed right after
-   it is built) instead of materialising every edge's forms ahead of
-   the whole DP. *)
+(* Device-id binding for a compiled tape.  The model hands out
+   variation source ids from a mutable counter, and the output bytes
+   depend on them; consuming them inside the DP would make ids — and
+   therefore results — depend on task scheduling.  Binding instead
+   consumes every id up front, in tape edge order (postorder over
+   parent nodes, child edges in order; per edge one wire CMP id when
+   wire variation is on, then one id per library type), and records
+   each edge's first id, so every schedule computes the same bytes and
+   the model's counter ends where a sequential run leaves it.  Only
+   the ids are consumed up front: the wire and buffer canonical forms
+   they feed are pure functions of (model, ids, coordinates) and are
+   built at the op that uses them, so a form is consumed right after
+   it is built instead of every edge's forms being materialised ahead
+   of the whole DP. *)
 let bind_device_ids ~model ~ids_per_edge (tape : Compile.Tape.t) =
   let nedges = tape.Compile.Tape.edges in
   let device_base = Array.make (max nedges 1) (-1) in
@@ -845,16 +611,21 @@ let bind_device_ids ~model ~ids_per_edge (tape : Compile.Tape.t) =
 
 let run_tape ?pool ?(grain = default_grain) config ~model
     (tape : Compile.Tape.t) =
+  (* Wall-clock, not [Sys.time]: CPU time sums over domains, so it
+     over-counts budgets and runtimes as soon as anything else runs in
+     parallel with the DP. *)
   let t_start = Unix.gettimeofday () in
-  let check_time, check_count = make_checks config ~t_start in
+  let check_time, check_count = make_checks config.budget ~t_start in
   let n = tape.Compile.Tape.n in
   let wire_variation = Varmodel.Model.wire_frac model > 0.0 in
   let nlib = Array.length config.library in
   let ids_per_edge = (if wire_variation then 1 else 0) + nlib in
   let device_base = bind_device_ids ~model ~ids_per_edge tape in
-  (* Per-site cache, same ownership argument as [run]: an edge's site
-     is its parent node, and only the task computing that node touches
-     it. *)
+  (* Per-site data is written and read only by the one task that owns
+     the node (an edge's site is its parent node), so the plain array
+     is race-free under the scheduler.  The location-dependent part of
+     a site's buffer forms (spatial weights, heterogeneity ramp) is
+     built once per node and shared by every edge hanging under it. *)
   let sites : Varmodel.Model.site option array = Array.make n None in
   let site_at id =
     match sites.(id) with
@@ -897,26 +668,19 @@ let run_tape ?pool ?(grain = default_grain) config ~model
         in
         (cb, tb, b.Device.Buffer.res_kohm))
   in
+  (* Atomics, not refs: subtree tasks on different domains bump them
+     concurrently.  Max and sum commute, so the reported stats are
+     identical at any job count. *)
   let peak = Atomic.make 0 in
   let total = Atomic.make 0 in
   let same_types, flip_types = Device.Buffer.partition_indices config.library in
   let has_inv = Array.length flip_types > 0 in
   let convex = use_convex config in
   let energies = energies_of config in
-  let parallel =
-    match pool with
-    | Some p -> Exec.Pool.jobs p > 1 && n > max 1 grain
-    | None -> false
-  in
-  (* Sequential execution reuses the tape's compact frontier slots;
-     under task parallelism concurrent sibling subtrees would race on
-     reused slots, so fall back to the identity mapping.  Slots carry
-     no values into the math — both mappings yield the same bytes. *)
-  let slot_of =
-    if parallel then Array.init n Fun.id else tape.Compile.Tape.slot
-  in
+  let sched = Compile.Tape.schedule ?pool ~grain tape in
+  let slot_of = sched.Compile.Tape.slot_of in
   let frontiers : frontier array =
-    Array.make (if parallel then n else tape.Compile.Tape.slots) empty_frontier
+    Array.make sched.Compile.Tape.slots empty_frontier
   in
   let ops = tape.Compile.Tape.ops in
   let exec_node id =
@@ -983,53 +747,10 @@ let run_tape ?pool ?(grain = default_grain) config ~model
             done;
             !out)
   in
-  (match pool with
-  | Some pool when parallel ->
-    (* Mirror of [run]'s task decomposition, driven by the tape's
-       precomputed subtree sizes and child links instead of the tree. *)
-    let grain = max 1 grain in
-    let size = tape.Compile.Tape.size in
-    let left = tape.Compile.Tape.left and right = tape.Compile.Tape.right in
-    let post = tape.Compile.Tape.post in
-    let ntasks = ref 0 in
-    let task_index = Array.make n (-1) in
-    Array.iter
-      (fun id ->
-        if size.(id) > grain then begin
-          task_index.(id) <- !ntasks;
-          incr ntasks
-        end)
-      post;
-    let task_ids = Array.make !ntasks 0 in
-    Array.iter
-      (fun id -> if task_index.(id) >= 0 then task_ids.(task_index.(id)) <- id)
-      post;
-    let deps =
-      Array.map
-        (fun id ->
-          let acc = ref [] in
-          (let r = right.(id) in
-           if r >= 0 && task_index.(r) >= 0 then acc := task_index.(r) :: !acc);
-          (let l = left.(id) in
-           if l >= 0 && task_index.(l) >= 0 then acc := task_index.(l) :: !acc);
-          Array.of_list !acc)
-        task_ids
-    in
-    let rec inline_subtree id =
-      (let l = left.(id) in
-       if l >= 0 then inline_subtree l);
-      (let r = right.(id) in
-       if r >= 0 then inline_subtree r);
-      exec_node id
-    in
-    Exec.Pool.run_graph pool ~deps ~run:(fun ti ->
-        let id = task_ids.(ti) in
-        (let l = left.(id) in
-         if l >= 0 && task_index.(l) < 0 then inline_subtree l);
-        (let r = right.(id) in
-         if r >= 0 && task_index.(r) < 0 then inline_subtree r);
-        exec_node id)
-  | _ -> Array.iter exec_node tape.Compile.Tape.post);
+  sched.Compile.Tape.run exec_node;
   if Obs.Control.on () then Obs.Span.flush ();
   finish config ~t_start ~peak ~total ~n
     frontiers.(slot_of.(Compile.Tape.root tape)).ev
+
+let run ?pool ?grain config ~model tree =
+  run_tape ?pool ?grain config ~model (Compile.Tape.compile tree)

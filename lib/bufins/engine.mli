@@ -138,30 +138,7 @@ type result = {
 }
 
 val default_grain : int
-(** Default subtree-size cutoff for task decomposition (see {!run}). *)
-
-val run :
-  ?pool:Exec.Pool.t ->
-  ?grain:int ->
-  config ->
-  model:Varmodel.Model.t ->
-  Rctree.Tree.t ->
-  result
-(** Optimise the tree.  The root candidate is chosen by the configured
-    {!objective} over the driver-output RAT.
-
-    With a [pool] of more than one job and a net larger than [grain]
-    (default {!default_grain}), independent subtrees run as
-    dependency-counted tasks on the pool: every node whose subtree
-    exceeds [grain] candidates a task, smaller subtrees run inline
-    inside their nearest task ancestor, and a merge node's task is
-    released only when all its subtree tasks have finished.  Device
-    variation ids are assigned in a sequential pre-pass and merges keep
-    the fixed child order, so the result is byte-identical to the
-    sequential run at any job count.  Without a pool (or with
-    [jobs = 1], or a small net) the classical sequential postorder loop
-    runs unchanged.
-    @raise Budget_exceeded when the configured budget trips. *)
+(** Default subtree-size cutoff for task decomposition (see {!run_tape}). *)
 
 val run_tape :
   ?pool:Exec.Pool.t ->
@@ -170,15 +147,46 @@ val run_tape :
   model:Varmodel.Model.t ->
   Compile.Tape.t ->
   result
-(** Optimise a precompiled tape ({!Compile.Tape.compile}) instead of
-    walking the tree.  Device ids are consumed in tape edge order —
-    identical to [run]'s sequential pre-pass — and the interpreter
-    replays the same staging, pruning and merge kernels, so the result
-    is byte-identical to [run] on the tape's source tree, for every
-    rule, budget, pool and grain (modulo [stats.runtime_s], which is
-    wall-clock).  The model must be fresh (same state [run] expects):
-    binding consumes the same id sequence.
+(** Optimise a compiled tree ({!Compile.Tape.compile}).  The root
+    candidate is chosen by the configured {!objective} over the
+    driver-output RAT.
+
+    The tape is first bound to [model] ({!bind_device_ids}), so the
+    model must be fresh for each run.  With a [pool] of more than one
+    job and a net larger than [grain] (default {!default_grain}),
+    independent subtrees run as dependency-counted tasks on the pool
+    ({!Compile.Tape.schedule}); otherwise the sequential postorder loop
+    runs.  Device ids are bound before the DP starts and merges keep
+    the fixed child order, so the result is byte-identical at any job
+    count (modulo [stats.runtime_s], which is wall-clock).
     @raise Budget_exceeded when the configured budget trips. *)
+
+val run :
+  ?pool:Exec.Pool.t ->
+  ?grain:int ->
+  config ->
+  model:Varmodel.Model.t ->
+  Rctree.Tree.t ->
+  result
+(** [run ?pool ?grain config ~model tree] is
+    [run_tape ?pool ?grain config ~model (Compile.Tape.compile tree)].
+    @raise Budget_exceeded when the configured budget trips. *)
+
+val make_checks :
+  budget -> t_start:float -> (unit -> unit) * (where:string -> int -> unit)
+(** [make_checks budget ~t_start] is [(check_time, check_count)], the
+    budget checks every engine runs: [check_time ()] raises
+    {!Budget_exceeded} once the wall clock is more than
+    [max_seconds] past [t_start]; [check_count ~where n] raises it when
+    [n] exceeds [max_candidates], naming [where] in the message. *)
+
+val bind_device_ids :
+  model:Varmodel.Model.t -> ids_per_edge:int -> Compile.Tape.t -> int array
+(** Bind a tape to [model]: consume [ids_per_edge] fresh device ids
+    per edge, in tape edge order, and return each edge's first id
+    (an array of at least one entry, [-1] when the tape has no edge).
+    Every engine binds through this function, so the model's id
+    counter advances the same way whichever engine runs. *)
 
 val merge_frontiers : node:int -> Sol.t array -> Sol.t array -> Sol.t array
 (** The linear O(n + m) merge of Fig. 1, exposed for demonstration and

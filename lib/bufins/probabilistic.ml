@@ -170,28 +170,9 @@ let prune config sols =
     out
   end
 
-(* Budget checks with the canonical engine's exact messages. *)
-let make_checks budget ~t_start =
-  let check_time () =
-    match budget.Engine.max_seconds with
-    | Some limit when Unix.gettimeofday () -. t_start > limit ->
-      raise (Engine.Budget_exceeded (Printf.sprintf "time limit %.1fs exceeded" limit))
-    | _ -> ()
-  in
-  let check_count ~where n =
-    match budget.Engine.max_candidates with
-    | Some limit when n > limit ->
-      raise
-        (Engine.Budget_exceeded
-           (Printf.sprintf "candidate limit %d exceeded at %s (%d)" limit where n))
-    | _ -> ()
-  in
-  (check_time, check_count)
-
 (* Lift a child frontier through the edge above it.  Model-free: the
    PMFs derive from the edge length and the technology constants
-   alone, so the tree walk and the tape interpreter share this
-   verbatim.
+   alone, so the tape needs no binding step.
 
    Each output parity side takes its own wired candidates plus
    buffered variants: same-parity (non-inverting) types over its own
@@ -341,7 +322,7 @@ let lift_edge config ~energies ~same_types ~flip_types ~convex ~child ~length
 
 (* The full cross-product merge of [6] (independence between
    solutions), with the in-loop deadline check, followed by a prune. *)
-let merge_node ?where config ~node ~check_time ~check_count a b =
+let merge_node ~where config ~node ~check_time ~check_count a b =
   let na = Array.length a and nb = Array.length b in
   let combine sa sb =
     {
@@ -362,12 +343,7 @@ let merge_node ?where config ~node ~check_time ~check_count a b =
       merged.(k) <- combine a.(i) b.(j)
     done
   done;
-  check_count
-    ~where:
-      (match where with
-      | Some w -> w
-      | None -> Printf.sprintf "merge at node %d" node)
-    (Array.length merged);
+  check_count ~where (Array.length merged);
   if Obs.Control.on () then Obs.Counters.incr obs_merged (Array.length merged);
   prune config merged
 
@@ -375,11 +351,11 @@ let merge_node ?where config ~node ~check_time ~check_count a b =
    with an empty operand merges to empty (a merged candidate needs
    both subtrees at the same parity), and the odd merge is skipped
    entirely for inverter-free runs. *)
-let merge_frontiers ?where config ~node ~check_time ~check_count (a : frontier)
+let merge_frontiers ~where config ~node ~check_time ~check_count (a : frontier)
     (b : frontier) =
   let side x y =
     if Array.length x = 0 || Array.length y = 0 then [||]
-    else merge_node ?where config ~node ~check_time ~check_count x y
+    else merge_node ~where config ~node ~check_time ~check_count x y
   in
   let ev = side a.ev b.ev in
   let od =
@@ -389,9 +365,8 @@ let merge_frontiers ?where config ~node ~check_time ~check_count (a : frontier)
   { ev; od }
 
 (* Per-node bookkeeping around the frontier computation [f].  [where]
-   overrides the budget-check label — the tape passes its precompiled
-   one. *)
-let node_wrap ?where ~check_time ~check_count ~peak id f =
+   is the tape's precompiled budget-check label. *)
+let node_wrap ~where ~check_time ~check_count ~peak f =
   check_time ();
   let obs = Obs.Control.on () in
   let t0 = if obs then Obs.Span.now_ns () else 0 in
@@ -401,10 +376,7 @@ let node_wrap ?where ~check_time ~check_count ~peak id f =
     Obs.Span.record ~name:"node" ~cat:"dp" ~t0_ns:t0
   end;
   let len = frontier_size front in
-  check_count
-    ~where:
-      (match where with Some w -> w | None -> Printf.sprintf "node %d" id)
-    len;
+  check_count ~where len;
   let rec bump_peak () =
     let cur = Atomic.get peak in
     if len > cur && not (Atomic.compare_and_set peak cur len) then bump_peak ()
@@ -473,146 +445,23 @@ let finish config ~t_start ~peak root_sols =
     runtime_s = Unix.gettimeofday () -. t_start;
   }
 
-let run ?pool ?(grain = Engine.default_grain) config tree =
+let run_tape ?pool ?(grain = Engine.default_grain) config tape =
   (* Wall-clock, not [Sys.time]: CPU time sums over domains, so both
      the budget and the reported runtime would over-count as soon as
-     anything else runs in parallel with this DP (exactly the bug the
-     engine fixed; [Exec.run_trials] routinely wraps this module). *)
+     anything else runs in parallel with this DP ([Exec.run_trials]
+     routinely wraps this module). *)
   let t_start = Unix.gettimeofday () in
-  let check_time, check_count = make_checks config.budget ~t_start in
-  let n = Rctree.Tree.node_count tree in
-  let results : frontier array = Array.make n empty_frontier in
-  let same_types, flip_types =
-    Device.Buffer.partition_indices config.library
-  in
-  let convex =
-    config.insertion = Engine.Convex_auto
-    && (match config.heuristic with Mean_dominance -> true | _ -> false)
-    && Device.Buffer.caps_distinct config.library
-    && not (Dominance.power_aware config.power_objective)
-  in
-  let energies = energies_of config in
+  let check_time, check_count = Engine.make_checks config.budget ~t_start in
   (* Atomic: subtree tasks on different domains bump it concurrently;
-     max commutes, so the stat is identical at any job count. *)
+     max commutes, so the stat is identical at any job count.  This DP
+     consumes no shared mutable state at all (no device-id counter),
+     so determinism needs only the fixed merge order. *)
   let peak = Atomic.make 0 in
-  let compute id =
-    results.(id) <-
-      node_wrap ~check_time ~check_count ~peak id (fun () ->
-          match Rctree.Tree.sink tree id with
-          | Some s ->
-            {
-              ev =
-                [|
-                  {
-                    load = Numeric.Pmf.constant s.Rctree.Tree.sink_cap;
-                    rat = Numeric.Pmf.constant s.Rctree.Tree.sink_rat;
-                    power = 0.0;
-                    choice = Sol.At_sink id;
-                  };
-                |];
-              od = [||];
-            }
-          | None ->
-            let lifted =
-              Array.of_list
-                (List.map
-                   (fun (child, length) ->
-                     let cf = results.(child) in
-                     results.(child) <- empty_frontier;
-                     let l =
-                       lift_edge config ~energies ~same_types ~flip_types
-                         ~convex ~child ~length cf
-                     in
-                     check_count
-                       ~where:(Printf.sprintf "edge above node %d" child)
-                       (frontier_size l);
-                     l)
-                   (Rctree.Tree.children tree id))
-            in
-            if Array.length lifted = 1 then lifted.(0)
-            else begin
-              assert (Array.length lifted = 2);
-              let a = lifted.(0) and b = lifted.(1) in
-              let merged =
-                merge_frontiers config ~node:id ~check_time ~check_count a b
-              in
-              (* The lifted child frontiers are dead once the cross
-                 product has combined them: clear the slots so they can
-                 be collected while the merged set is pruned. *)
-              lifted.(0) <- empty_frontier;
-              lifted.(1) <- empty_frontier;
-              merged
-            end)
+  let sched = Compile.Tape.schedule ?pool ~grain tape in
+  let slot_of = sched.Compile.Tape.slot_of in
+  let frontiers : frontier array =
+    Array.make sched.Compile.Tape.slots empty_frontier
   in
-  let post = Rctree.Tree.postorder tree in
-  (match pool with
-  | Some pool when Exec.Pool.jobs pool > 1 && n > max 1 grain ->
-    (* Same task decomposition as {!Engine.run}: subtree tasks above the
-       grain, dependency-counted release, fixed merge order.  This DP
-       consumes no shared mutable state at all (no device-id counter),
-       so determinism needs only the fixed merge order. *)
-    let grain = max 1 grain in
-    let size = Array.make n 1 in
-    Array.iter
-      (fun id ->
-        List.iter
-          (fun (c, _) -> size.(id) <- size.(id) + size.(c))
-          (Rctree.Tree.children tree id))
-      post;
-    let ntasks = ref 0 in
-    let task_index = Array.make n (-1) in
-    Array.iter
-      (fun id ->
-        if size.(id) > grain then begin
-          task_index.(id) <- !ntasks;
-          incr ntasks
-        end)
-      post;
-    let task_ids = Array.make !ntasks 0 in
-    Array.iter
-      (fun id -> if task_index.(id) >= 0 then task_ids.(task_index.(id)) <- id)
-      post;
-    let deps =
-      Array.map
-        (fun id ->
-          Rctree.Tree.children tree id
-          |> List.filter_map (fun (c, _) ->
-                 if task_index.(c) >= 0 then Some task_index.(c) else None)
-          |> Array.of_list)
-        task_ids
-    in
-    let rec inline_subtree id =
-      List.iter (fun (c, _) -> inline_subtree c) (Rctree.Tree.children tree id);
-      compute id
-    in
-    Exec.Pool.run_graph pool ~deps ~run:(fun ti ->
-        let id = task_ids.(ti) in
-        List.iter
-          (fun (c, _) -> if task_index.(c) < 0 then inline_subtree c)
-          (Rctree.Tree.children tree id);
-        compute id)
-  | _ -> Array.iter compute post);
-  if Obs.Control.on () then Obs.Span.flush ();
-  finish config ~t_start ~peak results.(Rctree.Tree.root tree).ev
-
-let run_tape ?pool ?(grain = Engine.default_grain) config tape =
-  let t_start = Unix.gettimeofday () in
-  let check_time, check_count = make_checks config.budget ~t_start in
-  let n = tape.Compile.Tape.n in
-  let peak = Atomic.make 0 in
-  let parallel =
-    match pool with
-    | Some pool -> Exec.Pool.jobs pool > 1 && n > max 1 grain
-    | None -> false
-  in
-  (* Compact slot reuse assumes sequential postorder; under the task
-     decomposition sibling subtrees run concurrently, so fall back to
-     the identity mapping (one frontier per node). *)
-  let slot_of =
-    if parallel then Array.init n Fun.id else tape.Compile.Tape.slot
-  in
-  let nslots = if parallel then n else tape.Compile.Tape.slots in
-  let frontiers : frontier array = Array.make nslots empty_frontier in
   let same_types, flip_types =
     Device.Buffer.partition_indices config.library
   in
@@ -628,7 +477,7 @@ let run_tape ?pool ?(grain = Engine.default_grain) config tape =
     and o1 = tape.Compile.Tape.op_end.(id) in
     frontiers.(slot_of.(id)) <-
       node_wrap ~where:tape.Compile.Tape.where_node.(id) ~check_time
-        ~check_count ~peak id (fun () ->
+        ~check_count ~peak (fun () ->
           let lifted0 = ref empty_frontier and lifted1 = ref empty_frontier in
           let nlift = ref 0 in
           let out = ref empty_frontier in
@@ -672,50 +521,9 @@ let run_tape ?pool ?(grain = Engine.default_grain) config tape =
           done;
           !out)
   in
-  (if parallel then begin
-     let pool = Option.get pool in
-     let grain = max 1 grain in
-     let size = tape.Compile.Tape.size in
-     let post = tape.Compile.Tape.post in
-     let ntasks = ref 0 in
-     let task_index = Array.make n (-1) in
-     Array.iter
-       (fun id ->
-         if size.(id) > grain then begin
-           task_index.(id) <- !ntasks;
-           incr ntasks
-         end)
-       post;
-     let task_ids = Array.make !ntasks 0 in
-     Array.iter
-       (fun id -> if task_index.(id) >= 0 then task_ids.(task_index.(id)) <- id)
-       post;
-     let children id =
-       let l = tape.Compile.Tape.left.(id)
-       and r = tape.Compile.Tape.right.(id) in
-       let acc = if r >= 0 then [ r ] else [] in
-       if l >= 0 then l :: acc else acc
-     in
-     let deps =
-       Array.map
-         (fun id ->
-           children id
-           |> List.filter_map (fun c ->
-                  if task_index.(c) >= 0 then Some task_index.(c) else None)
-           |> Array.of_list)
-         task_ids
-     in
-     let rec inline_subtree id =
-       List.iter inline_subtree (children id);
-       exec_node id
-     in
-     Exec.Pool.run_graph pool ~deps ~run:(fun ti ->
-         let id = task_ids.(ti) in
-         List.iter
-           (fun c -> if task_index.(c) < 0 then inline_subtree c)
-           (children id);
-         exec_node id)
-   end
-   else Array.iter exec_node tape.Compile.Tape.post);
+  sched.Compile.Tape.run exec_node;
   if Obs.Control.on () then Obs.Span.flush ();
   finish config ~t_start ~peak frontiers.(slot_of.(Compile.Tape.root tape)).ev
+
+let run ?pool ?grain config tree =
+  run_tape ?pool ?grain config (Compile.Tape.compile tree)

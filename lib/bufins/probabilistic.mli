@@ -81,20 +81,18 @@ type result = {
   runtime_s : float;  (** wall-clock seconds, comparable to engine stats *)
 }
 
-val run :
-  ?pool:Exec.Pool.t -> ?grain:int -> config -> Rctree.Tree.t -> result
-(** With a multi-job [pool] and a net larger than [grain] (default
-    {!Engine.default_grain}), independent subtrees run as tasks on the
-    pool with the same dependency-counted decomposition as
-    {!Engine.run}; merges keep the fixed child order, so the result is
-    identical at any job count.
-    @raise Engine.Budget_exceeded when the configured budget trips. *)
-
 val run_tape :
   ?pool:Exec.Pool.t -> ?grain:int -> config -> Compile.Tape.t -> result
-(** Run the probabilistic DP over a precompiled tape
-    ({!Compile.Tape.compile}) instead of walking the tree.  The DP is
-    model-free, so the tape needs no binding step; the interpreter
-    replays the exact lift/merge order of [run] on the tape's source
-    tree and the result is identical at any job count.
+(** Run the probabilistic DP over a compiled tape
+    ({!Compile.Tape.compile}).  The DP is model-free, so the tape needs
+    no binding step.  With a multi-job [pool] and a net larger than
+    [grain] (default {!Engine.default_grain}), independent subtrees run
+    as tasks on the pool ({!Compile.Tape.schedule}); merges keep the
+    fixed child order, so the result is identical at any job count.
+    @raise Engine.Budget_exceeded when the configured budget trips. *)
+
+val run :
+  ?pool:Exec.Pool.t -> ?grain:int -> config -> Rctree.Tree.t -> result
+(** [run ?pool ?grain config tree] is
+    [run_tape ?pool ?grain config (Compile.Tape.compile tree)].
     @raise Engine.Budget_exceeded when the configured budget trips. *)

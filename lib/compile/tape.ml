@@ -1,17 +1,15 @@
 (* Flatten an RC tree into a postorder instruction tape.
 
-   The DP engines walk the tree recursively, chasing child lists and
-   re-deriving per-edge facts (site of the buffer position, wire
-   midpoint, subtree sizes) on every run.  All of that is a pure
-   function of the topology, so a net that is solved repeatedly — the
-   serve path sees the same nets over and over — can pay for it once.
-   [compile] emits a flat op array in the exact sequential postorder
-   the engines use, with every edge numbered in the order the
-   sequential device-id pre-pass visits it (postorder over parent
-   nodes, child edges in list order).  An engine binds a tape to a
-   concrete variation model by consuming fresh device ids in edge
-   order — the counter then advances exactly as the tree walk's
-   pre-pass — and interprets the ops with no tree in sight.
+   Every per-edge fact the DP needs — the site of the buffer position,
+   the wire midpoint, subtree sizes, frontier slot lifetimes, budget
+   labels — is a pure function of the topology, so it is derived here
+   once and a net that is solved repeatedly (the serve path sees the
+   same nets over and over) pays for it once.  [compile] emits a flat
+   op array in sequential postorder, with every edge numbered in the
+   order the device ids are bound (postorder over parent nodes, child
+   edges in list order).  An engine binds a tape to a concrete
+   variation model by consuming fresh device ids in edge order and
+   interprets the ops with no tree in sight.
 
    The tape is model-independent on purpose: one compiled tape serves
    every rule (det/1P/2P/4P/[6]) and the sampling engine, and can be
@@ -92,9 +90,7 @@ let compile tree =
      which changes nothing observable (slots never enter the math). *)
   let slot = Array.make n (-1) in
   (* Budget-check labels ("node 7", "edge above node 3", ...) are pure
-     topology, and the walk rebuilds them with [Printf.sprintf] on
-     every single run; baking them into the tape is one of the few
-     per-run costs a warm execution can actually skip. *)
+     topology: built once here, a warm execution never formats one. *)
   let where_node = Array.make n "" in
   let where_edge = Array.make edges "" in
   let where_merge = Array.make n "" in
@@ -189,3 +185,67 @@ let compile tree =
     Obs.Span.record ~name:"tape.compile" ~cat:"tape" ~t0_ns:t0
   end;
   tape
+
+type schedule = {
+  slot_of : int array;
+  slots : int;
+  run : (int -> unit) -> unit;
+}
+
+(* Sequential execution is the plain postorder loop over the compact
+   frontier slots.  With a multi-job pool and a net above the grain,
+   every node whose subtree exceeds the grain becomes a task that
+   first runs its small child subtrees inline (in postorder) and then
+   its own node; [Exec.Pool.run_graph] releases a merge node's task
+   only once its child tasks finished.  Concurrent sibling subtrees
+   would race on reused slots, so the parallel schedule maps every
+   node to its own slot — slots never enter the math, so both
+   mappings yield the same bytes. *)
+let schedule ?pool ~grain t =
+  match pool with
+  | Some pool when Exec.Pool.jobs pool > 1 && t.n > max 1 grain ->
+    let grain = max 1 grain in
+    let ntasks = ref 0 in
+    let task_index = Array.make t.n (-1) in
+    Array.iter
+      (fun id ->
+        if t.size.(id) > grain then begin
+          task_index.(id) <- !ntasks;
+          incr ntasks
+        end)
+      t.post;
+    (* size(root) = n > grain, so the root is always a task. *)
+    let task_ids = Array.make !ntasks 0 in
+    Array.iter
+      (fun id -> if task_index.(id) >= 0 then task_ids.(task_index.(id)) <- id)
+      t.post;
+    let is_task c = c >= 0 && task_index.(c) >= 0 in
+    let deps =
+      Array.map
+        (fun id ->
+          List.filter is_task [ t.left.(id); t.right.(id) ]
+          |> List.map (fun c -> task_index.(c))
+          |> Array.of_list)
+        task_ids
+    in
+    let run exec_node =
+      let rec inline_subtree id =
+        if id >= 0 then begin
+          inline_subtree t.left.(id);
+          inline_subtree t.right.(id);
+          exec_node id
+        end
+      in
+      Exec.Pool.run_graph pool ~deps ~run:(fun ti ->
+          let id = task_ids.(ti) in
+          if not (is_task t.left.(id)) then inline_subtree t.left.(id);
+          if not (is_task t.right.(id)) then inline_subtree t.right.(id);
+          exec_node id)
+    in
+    { slot_of = Array.init t.n Fun.id; slots = t.n; run }
+  | _ ->
+    {
+      slot_of = t.slot;
+      slots = t.slots;
+      run = (fun exec_node -> Array.iter exec_node t.post);
+    }

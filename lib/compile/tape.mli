@@ -1,14 +1,16 @@
 (** Compile an RC tree into a flat postorder instruction tape.
 
-    The tape is a model-independent program: every topology-derived
-    fact the DP engines need — postorder, per-edge buffer sites and
-    wire midpoints, subtree sizes for task decomposition, frontier
-    slot lifetimes — is precomputed once, so an engine interpreting
-    the tape touches no tree structure at all.  Engines bind a tape to
-    a concrete variation model by consuming fresh device ids in edge
-    order (edges are numbered in the exact order of the sequential
-    device-id pre-pass), which makes the interpreted results
-    byte-identical to the tree-walking DP.
+    The tape is the program every DP engine runs: [run] compiles the
+    tree and interprets the tape, and [run_tape] interprets a tape
+    compiled earlier.  It is model-independent — every
+    topology-derived fact the engines need (postorder, per-edge buffer
+    sites and wire midpoints, subtree sizes for task decomposition,
+    frontier slot lifetimes, budget-check labels) is precomputed once,
+    so an interpreter touches no tree structure at all.  Engines bind
+    a tape to a concrete variation model with
+    {!Bufins.Engine.bind_device_ids}, which consumes fresh device ids
+    in edge order; the bytes of a result therefore depend on the edge
+    numbering alone, never on the schedule ({!schedule}).
 
     One compiled tape serves every pruning rule, the probabilistic
     baseline and the sampling engine, and can be cached across serve
@@ -68,3 +70,23 @@ val slot_count : t -> int
 
 val root : t -> int
 (** The driver node (last entry of [post]). *)
+
+type schedule = {
+  slot_of : int array;  (** node id -> frontier slot *)
+  slots : int;  (** frontier slots the interpreter allocates *)
+  run : (int -> unit) -> unit;
+      (** [run exec_node] calls [exec_node] once per node, every node
+          after its children *)
+}
+
+val schedule : ?pool:Exec.Pool.t -> grain:int -> t -> schedule
+(** The one node scheduler of every interpreter.  Without a pool, with
+    a one-job pool or with a net of at most [grain] nodes, [run] is the
+    sequential postorder loop over the compact slots ([slot],
+    [slots]).  Otherwise every node whose subtree exceeds [grain]
+    becomes a dependency-counted task on [pool] ({!Exec.Pool.run_graph})
+    that runs its smaller child subtrees inline, and every node gets
+    its own slot so concurrent subtrees never share one.  An
+    interpreter whose per-node work depends only on its children's
+    frontiers computes the same bytes under either schedule.
+    @raise exn whatever [exec_node] raises, after the pool drained. *)

@@ -71,14 +71,11 @@ let run_algo setup ?rule ?budget ?(wire_sizing = false) ?load_limit
       eps_power;
     }
   in
-  (* A precompiled tape replays the exact walk (same device-id order),
-     so either path returns byte-identical results. *)
-  (match tape with
-  | Some tape ->
-    Bufins.Engine.run_tape ?pool:setup.pool ?grain:setup.par_grain config ~model
-      tape
-  | None ->
-    Bufins.Engine.run ?pool:setup.pool ?grain:setup.par_grain config ~model tree)
+  let tape =
+    match tape with Some t -> t | None -> Compile.Tape.compile tree
+  in
+  Bufins.Engine.run_tape ?pool:setup.pool ?grain:setup.par_grain config ~model
+    tape
 
 let run_sampled setup ?budget ?(wire_sizing = false) ?load_limit ~samples
     ?(relax = 1.0) ?(seed = 1) ?(yield = 0.95)
@@ -100,12 +97,11 @@ let run_sampled setup ?budget ?(wire_sizing = false) ?load_limit ~samples
       eps_power;
     }
   in
-  match tape with
-  | Some tape ->
-    Sample.Engine.run_tape ?pool:setup.pool ?grain:setup.par_grain config ~model
-      tape
-  | None ->
-    Sample.Engine.run ?pool:setup.pool ?grain:setup.par_grain config ~model tree
+  let tape =
+    match tape with Some t -> t | None -> Compile.Tape.compile tree
+  in
+  Sample.Engine.run_tape ?pool:setup.pool ?grain:setup.par_grain config ~model
+    tape
 
 let instance_for setup ~spatial ~grid tree ?(widths = []) buffers =
   let model =

@@ -58,10 +58,10 @@ val run_algo :
     [wire_sizing] (default false) enables the 3-width wire library;
     [load_limit] forwards the engine's slew-style constraint;
     [objective] / [eps_power] (default [Max_yield] / 0 = the
-    historical engine) forward the power-aware objective.  When
-    [tape] (a {!Compile.Tape.compile} of the same tree) is given, the
-    DP runs through {!Bufins.Engine.run_tape} — byte-identical, but
-    the per-net lowering work is already paid. *)
+    historical engine) forward the power-aware objective.  The DP
+    runs {!Bufins.Engine.run_tape} on [tape], a {!Compile.Tape.compile}
+    of the same tree (a cached one skips the compile), or on a fresh
+    compile of the tree when [tape] is absent. *)
 
 val run_sampled :
   setup ->
@@ -86,7 +86,7 @@ val run_sampled :
     {!run_algo}; [relax] (default 1 = exact full dominance) scales the
     per-sample dominance threshold; [objective] / [eps_power] forward
     the power-aware objective as in {!run_algo}.  [tape] behaves as in
-    {!run_algo}, routing through {!Sample.Engine.run_tape}. *)
+    {!run_algo}, with {!Sample.Engine.run_tape} as the DP. *)
 
 val evaluate :
   setup ->

@@ -1,11 +1,11 @@
 (* The sampling-based yield engine (Zhang/Li/Schlichtmann, PAPERS.md).
 
-   Same DP skeleton as [Bufins.Engine.run] — postorder walk, wire
-   lift + buffer insertion per edge, subtree merge, prune — but every
-   candidate carries its downstream load and RAT as K-vectors: the
-   exact value of the candidate under each of K Monte-Carlo process
-   corners drawn once per run into a shared [Matrix].  Nothing assumes
-   joint normality; the per-sample Elmore arithmetic is exact (the
+   Same DP skeleton as [Bufins.Engine.run_tape] — the compiled tape's
+   postorder, wire lift + buffer insertion per edge, subtree merge,
+   prune — but every candidate carries its downstream load and RAT as
+   K-vectors: the exact value of the candidate under each of K
+   Monte-Carlo process corners drawn once per run into a shared
+   [Matrix].  Nothing assumes joint normality; the per-sample Elmore arithmetic is exact (the
    r·load and r·c wire products are true per-sample products, where
    the canonical engine keeps a first-order linearisation, and the
    merge takes a true per-sample min where the canonical engine blends
@@ -24,9 +24,10 @@
    entirely (the brute-force reference the tests compare against).
 
    Determinism: the matrix rows depend only on (seed, source id, K);
-   source ids come from the same sequential pre-pass as the canonical
-   engine; merges keep the fixed child order and the pruning sweep is
-   a stable sort plus a deterministic scan.  Output is therefore
+   source ids come from the same binding pass as the canonical engine
+   ({!Bufins.Engine.bind_device_ids}); merges keep the fixed child
+   order and the pruning sweep is a stable sort plus a deterministic
+   scan.  Output is therefore
    byte-identical at any --jobs and with obs on or off. *)
 
 type config = {
@@ -125,34 +126,11 @@ let obs_checks =
 let obs_skipped =
   Obs.Counters.counter Obs.Counters.global "sample.pairs_skipped"
 
-(* Budget checks shared by the tree walk and the tape interpreter,
-   with the canonical engine's exact messages. *)
-let make_checks budget ~t_start =
-  let check_time () =
-    match budget.Bufins.Engine.max_seconds with
-    | Some limit when Unix.gettimeofday () -. t_start > limit ->
-      raise
-        (Bufins.Engine.Budget_exceeded
-           (Printf.sprintf "time limit %.1fs exceeded" limit))
-    | _ -> ()
-  in
-  let check_count ~where n =
-    match budget.Bufins.Engine.max_candidates with
-    | Some limit when n > limit ->
-      raise
-        (Bufins.Engine.Budget_exceeded
-           (Printf.sprintf "candidate limit %d exceeded at %s (%d)" limit where
-              n))
-    | _ -> ()
-  in
-  (check_time, check_count)
-
 (* Per-edge model bindings: the (r, c) canonical form per wire width
    when wire parasitics vary ([||] otherwise) and the (cap, delay)
    canonical-form template per library buffer.  Pure functions of the
-   model and the edge's device ids, so the tree walk computes them at
-   lift time and the tape path precomputes them at bind time with
-   identical values. *)
+   model and the edge's device ids, built at the op that lifts through
+   the edge. *)
 type edge_forms = {
   ef_wire : (Linform.t * Linform.t) array;
   ef_buf : (Linform.t * Linform.t) array;
@@ -207,7 +185,10 @@ let record_keys keys ~k c (dl : float array) (dr : float array) off ~power =
    tie-break, so the kept set is the (load, RAT, power) Pareto
    frontier.  [skipped] counts candidates a caller dropped before
    staging because they provably die here (the merge pair filter);
-   the counters report them as generated and pruned.
+   the counters report them as generated and pruned.  [check_time]
+   (the budget's deadline) runs once per 1024 swept candidates: one
+   sweep over a blown-up power-aware frontier can take minutes, and
+   the deadline must trip inside it, not after it.
 
    The sweep is the greedy scan over kept candidates that
    {!Bufins.Dominance.sweep} runs, so kept set and kept order are that
@@ -227,7 +208,8 @@ let record_keys keys ~k c (dl : float array) (dr : float array) off ~power =
    used there.  A row compare first probes the sample where the
    previous compare failed; the verdict is a count over all samples,
    so the probe order changes no result. *)
-let prune ar ~k ~need ~power_aware ~eps ?(skipped = 0) keys ~n ~gen ~choice =
+let prune ar ~k ~need ~power_aware ~eps ~check_time ?(skipped = 0) keys ~n ~gen
+    ~choice =
   if (n <= 1 && skipped = 0) || need > k then
     Array.init n (fun c ->
         let load = Array.make k 0.0 and rat = Array.make k 0.0 in
@@ -301,6 +283,7 @@ let prune ar ~k ~need ~power_aware ~eps ?(skipped = 0) keys ~n ~gen ~choice =
       end
     in
     for s = 0 to n - 1 do
+      if s land 1023 = 1023 then check_time ();
       let c = idx.(s) in
       let co = nkeys * c in
       let mrc = keys.(co + 1) and pwc = keys.(co + 2) in
@@ -398,7 +381,7 @@ let prune ar ~k ~need ~power_aware ~eps ?(skipped = 0) keys ~n ~gen ~choice =
     out
   end
 
-let sweep_rows ~k ~need ~power_aware ~eps ~load ~rat ~power =
+let sweep_rows ~k ~need ~power_aware ~eps ~check_time ~load ~rat ~power =
   let n = Array.length power in
   let ar = Sarena.get () in
   let keys = Sarena.keys ar (nkeys * n) in
@@ -406,7 +389,7 @@ let sweep_rows ~k ~need ~power_aware ~eps ~load ~rat ~power =
     record_keys keys ~k c load rat (c * k) ~power:power.(c)
   done;
   let out =
-    prune ar ~k ~need ~power_aware ~eps keys ~n
+    prune ar ~k ~need ~power_aware ~eps ~check_time keys ~n
       ~gen:(fun c dl dr off ->
         Array.blit load (c * k) dl off k;
         Array.blit rat (c * k) dr off k)
@@ -441,9 +424,11 @@ let sweep_rows ~k ~need ~power_aware ~eps ~load ~rat ~power =
    provably drops — the materialised rows differ from the scores by
    the same per-sample T_b shift and fl(x − y) is monotone in x — so
    skipping its generation changes no output byte, only the candidate
-   count fed to the quadratic pruning pass. *)
-let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
-    ~same_types ~flip_types ~forms ~child ~length (f : frontier) =
+   count fed to the quadratic pruning pass.  The pre-filter is
+   quadratic in the block too, so it reads [check_time] every 64
+   rows. *)
+let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~check_time ~energies
+    ~convex ~same_types ~flip_types ~forms ~child ~length (f : frontier) =
   let obs = Obs.Control.on () in
   let t0 = if obs then Obs.Span.now_ns () else 0 in
   let ar = Sarena.get () in
@@ -548,6 +533,7 @@ let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
           done
         done;
         for x = 0 to nr - 1 do
+          if x land 63 = 63 then check_time ();
           let xo = x * k in
           let dead = ref false in
           let y = ref 0 in
@@ -652,7 +638,7 @@ let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
       emit_block ~lo:wlo ~hi:whi same_types;
       emit_block ~lo:xlo ~hi:xhi flip_types;
       let out =
-        prune ar ~k ~need ~power_aware ~eps keys ~n:ncand
+        prune ar ~k ~need ~power_aware ~eps ~check_time keys ~n:ncand
           ~gen:(fun c dl dr off ->
             let row = cand.(c) / stride and bi = (cand.(c) mod stride) - 1 in
             if bi < 0 then begin
@@ -904,8 +890,8 @@ let pair_filter ar ~k ~power_aware (a : sol array) (b : sol array) =
    [Float.min] pins the sign of zero and which NaN), redo the row with
    [Float.min] itself.  No call inside the loop keeps its accumulators
    in registers. *)
-let merge_rows ~k ~need ~power_aware ~eps ~node ~check (a : sol array)
-    (b : sol array) =
+let merge_rows ~k ~need ~power_aware ~eps ~node ~check ~check_time
+    (a : sol array) (b : sol array) =
   let na = Array.length a and nb = Array.length b in
   let ncand = na * nb in
   if ncand = 0 then [||]
@@ -926,6 +912,7 @@ let merge_rows ~k ~need ~power_aware ~eps ~node ~check (a : sol array)
       for j = 0 to nb - 1 do
         incr count;
         check !count;
+        if !count land 1023 = 0 then check_time ();
         let c = ncand - !count in
         if skip i j then cand.(c) <- -1
         else begin
@@ -1010,7 +997,8 @@ let merge_rows ~k ~need ~power_aware ~eps ~node ~check (a : sol array)
           dr.(off + t) <- Float.min ra.(t) rb.(t)
         done
     in
-    prune ar ~k ~need ~power_aware ~eps ~skipped:(ncand - n) keys ~n ~gen
+    prune ar ~k ~need ~power_aware ~eps ~check_time ~skipped:(ncand - n) keys
+      ~n ~gen
       ~choice:(fun c ->
         let m = cand.(c) in
         Bufins.Sol.Merged
@@ -1021,19 +1009,22 @@ let merge_rows ~k ~need ~power_aware ~eps ~node ~check (a : sol array)
    odd (a merged candidate needs both subtrees at the same parity).
    The odd merge is skipped entirely when both sides are empty, so the
    inverter-free instruction stream is the historical one. *)
-let merge_frontiers ~k ~need ~power_aware ~eps ~node ~check (a : frontier)
-    (b : frontier) =
-  let ev = merge_rows ~k ~need ~power_aware ~eps ~node ~check a.ev b.ev in
+let merge_frontiers ~k ~need ~power_aware ~eps ~node ~check ~check_time
+    (a : frontier) (b : frontier) =
+  let ev =
+    merge_rows ~k ~need ~power_aware ~eps ~node ~check ~check_time a.ev b.ev
+  in
   let od =
     if Array.length a.od = 0 && Array.length b.od = 0 then [||]
-    else merge_rows ~k ~need ~power_aware ~eps ~node ~check a.od b.od
+    else
+      merge_rows ~k ~need ~power_aware ~eps ~node ~check ~check_time a.od b.od
   in
   { ev; od }
 
 (* Per-node bookkeeping around the frontier computation [f]: budget
-   checks, observability, peak/total statistics.  [where] overrides
-   the budget-check label — the tape passes its precompiled one. *)
-let node_wrap ?where ~check_time ~check_count ~peak ~total id f =
+   checks, observability, peak/total statistics.  [where] is the
+   tape's precompiled budget-check label. *)
+let node_wrap ~where ~check_time ~check_count ~peak ~total id f =
   check_time ();
   let obs = Obs.Control.on () in
   let t0 = if obs then Obs.Span.now_ns () else 0 in
@@ -1043,10 +1034,7 @@ let node_wrap ?where ~check_time ~check_count ~peak ~total id f =
     Obs.Span.record ~name:"node" ~cat:"sample" ~t0_ns:t0
   end;
   let len = frontier_size front in
-  check_count
-    ~where:
-      (match where with Some w -> w | None -> Printf.sprintf "node %d" id)
-    len;
+  check_count ~where len;
   let rec bump_peak () =
     let cur = Atomic.get peak in
     if len > cur && not (Atomic.compare_and_set peak cur len) then
@@ -1057,9 +1045,8 @@ let node_wrap ?where ~check_time ~check_count ~peak ~total id f =
   Log.debug (fun m -> m "node %d: %d sampled candidates kept" id len);
   front
 
-(* Root-frontier epilogue shared by the tree walk and the tape
-   interpreter: load-limit gate, per-sample driver lift, yield
-   scoring, result assembly. *)
+(* Root-frontier epilogue: load-limit gate, per-sample driver lift,
+   yield scoring, result assembly. *)
 let finish config ~t_start ~k ~peak ~total ~n root_sols =
   let tech = config.tech in
   let sample_mean v =
@@ -1165,248 +1152,35 @@ let finish config ~t_start ~k ~peak ~total ~n root_sols =
       };
   }
 
-let run ?pool ?(grain = default_grain) config ~model tree =
-  let t_start = Unix.gettimeofday () in
-  let k = config.samples in
-  if k <= 0 then invalid_arg "Sample.Engine.run: samples must be positive";
-  let check_time, check_count = make_checks config.budget ~t_start in
-  let n = Rctree.Tree.node_count tree in
-  let results : frontier array = Array.make n empty_frontier in
-  let peak = Atomic.make 0 in
-  let total = Atomic.make 0 in
-  let wire_variation = Varmodel.Model.wire_frac model > 0.0 in
-  let post = Rctree.Tree.postorder tree in
-  (* The same deterministic device-id pre-pass as the canonical engine
-     (see the comment there): ids are consumed in sequential postorder
-     so the matrix rows a device maps to — and hence the output bytes —
-     are independent of task scheduling.  The id-consumption order is
-     identical to [Bufins.Engine.run] on the same tree, so the model's
-     counter advances exactly as it would there. *)
-  let nlib = Array.length config.library in
-  let ids_per_edge = (if wire_variation then 1 else 0) + nlib in
-  let device_base = Array.make n (-1) in
-  let regions = Varmodel.Grid.regions (Varmodel.Model.grid model) in
-  let max_id = ref regions in
-  Array.iter
-    (fun id ->
-      if not (Rctree.Tree.is_sink tree id) then
-        List.iter
-          (fun (child, _length) ->
-            device_base.(child) <- Varmodel.Model.fresh_device_id model;
-            for _ = 2 to ids_per_edge do
-              ignore (Varmodel.Model.fresh_device_id model)
-            done;
-            max_id := device_base.(child) + ids_per_edge - 1)
-          (Rctree.Tree.children tree id))
-    post;
-  let matrix =
-    Matrix.create ~seed:config.seed ~k ~sources:(!max_id + 1)
-  in
-  (* Rows shared across subtree tasks (inter-die + spatial regions) are
-     drawn eagerly before any parallel phase; per-device rows are only
-     touched by the task owning the device's edge. *)
-  Matrix.prefill matrix ~lo:0 ~hi:regions;
-  let sites : Varmodel.Model.site option array = Array.make n None in
-  let site_at id =
-    match sites.(id) with
-    | Some s -> s
-    | None ->
-      let x, y = Rctree.Tree.position tree id in
-      let s = Varmodel.Model.site model ~x ~y in
-      sites.(id) <- Some s;
-      s
-  in
-  (* relax-scaled dominance threshold: a candidate is dropped when a
-     competitor ties-or-beats it in at least [need] of the K samples. *)
-  let need =
-    max 1 (int_of_float (ceil (config.relax *. float_of_int k)))
-  in
-  let same_types, flip_types =
-    Device.Buffer.partition_indices config.library
-  in
-  let power_aware = Bufins.Dominance.power_aware config.power_objective in
-  let eps = config.eps_power in
-  let energies = energies_of config in
-  (* The convex pre-filter is sound only under full per-sample
-     dominance (need = k): relax > 1 disables pruning (brute-force
-     reference) and relax < 1 counts partial dominance, where a
-     pre-filtered row is not provably dropped.  Power-aware pruning
-     also disables it — cheaper-power rows must survive alongside the
-     best-timing one. *)
-  let convex =
-    config.insertion = Bufins.Engine.Convex_auto && need = k
-    && not power_aware
-  in
-  (* Per-edge model bindings, resolved lazily at lift time — the tape
-     path precomputes the same forms at bind time. *)
-  let forms_for child =
-    let site_node =
-      match Rctree.Tree.parent tree child with Some p -> p | None -> child
-    in
-    let ef_wire =
-      if wire_variation then begin
-        let edge_id = device_base.(child) in
-        let bx, by = Rctree.Tree.position tree site_node in
-        let cx, cy = Rctree.Tree.position tree child in
-        let mx = 0.5 *. (bx +. cx) and my = 0.5 *. (by +. cy) in
-        Array.map
-          (fun wire ->
-            Varmodel.Model.wire_forms model ~edge_id ~x:mx ~y:my
-              ~r0:wire.Device.Wire_lib.res_per_um
-              ~c0:wire.Device.Wire_lib.cap_per_um)
-          config.wires
-      end
-      else [||]
-    in
-    let psite = site_at site_node in
-    let buf_base = device_base.(child) + if wire_variation then 1 else 0 in
-    let ef_buf =
-      Array.init nlib (fun bi ->
-          let b = config.library.(bi) in
-          let device_id = buf_base + bi in
-          let cb_form =
-            Varmodel.Model.site_device_form model psite ~device_id
-              ~nominal:b.Device.Buffer.cap_ff
-          in
-          let tb_form =
-            Varmodel.Model.site_device_form model psite ~device_id
-              ~nominal:b.Device.Buffer.delay_ps
-          in
-          (cb_form, tb_form))
-    in
-    { ef_wire; ef_buf }
-  in
-  let compute id =
-    results.(id) <-
-      node_wrap ~check_time ~check_count ~peak ~total id (fun () ->
-          match Rctree.Tree.sink tree id with
-          | Some s ->
-            {
-              ev =
-                [|
-                  {
-                    load = Array.make k s.Rctree.Tree.sink_cap;
-                    rat = Array.make k s.Rctree.Tree.sink_rat;
-                    power = 0.0;
-                    choice = Bufins.Sol.At_sink id;
-                  };
-                |];
-              od = [||];
-            }
-          | None ->
-            let lifted =
-              Array.of_list
-                (List.map
-                   (fun (child, length) ->
-                     let child_front = results.(child) in
-                     results.(child) <- empty_frontier;
-                     let l =
-                       lift_rows config ~matrix ~k ~need ~power_aware ~eps
-                         ~energies ~convex ~same_types ~flip_types
-                         ~forms:(forms_for child) ~child ~length child_front
-                     in
-                     check_count
-                       ~where:(Printf.sprintf "edge above node %d" child)
-                       (frontier_size l);
-                     l)
-                   (Rctree.Tree.children tree id))
-            in
-            if Array.length lifted = 1 then lifted.(0)
-            else begin
-              assert (Array.length lifted = 2);
-              let merged =
-                merge_frontiers ~k ~need ~power_aware ~eps ~node:id
-                  ~check:(fun c ->
-                    check_count ~where:(Printf.sprintf "merge at node %d" id) c;
-                    if c land 1023 = 0 then check_time ())
-                  lifted.(0) lifted.(1)
-              in
-              lifted.(0) <- empty_frontier;
-              lifted.(1) <- empty_frontier;
-              merged
-            end)
-  in
-  (match pool with
-  | Some pool when Exec.Pool.jobs pool > 1 && n > max 1 grain ->
-    (* Task-parallel subtree DP, identical to the canonical engine's
-       decomposition: subtree-size tasks, inline small subtrees, and a
-       dependency-counted release per merge node. *)
-    let grain = max 1 grain in
-    let size = Array.make n 1 in
-    Array.iter
-      (fun id ->
-        List.iter
-          (fun (c, _) -> size.(id) <- size.(id) + size.(c))
-          (Rctree.Tree.children tree id))
-      post;
-    let ntasks = ref 0 in
-    let task_index = Array.make n (-1) in
-    Array.iter
-      (fun id ->
-        if size.(id) > grain then begin
-          task_index.(id) <- !ntasks;
-          incr ntasks
-        end)
-      post;
-    let task_ids = Array.make !ntasks 0 in
-    Array.iter
-      (fun id -> if task_index.(id) >= 0 then task_ids.(task_index.(id)) <- id)
-      post;
-    let deps =
-      Array.map
-        (fun id ->
-          Rctree.Tree.children tree id
-          |> List.filter_map (fun (c, _) ->
-                 if task_index.(c) >= 0 then Some task_index.(c) else None)
-          |> Array.of_list)
-        task_ids
-    in
-    let rec inline_subtree id =
-      List.iter (fun (c, _) -> inline_subtree c) (Rctree.Tree.children tree id);
-      compute id
-    in
-    Exec.Pool.run_graph pool ~deps ~run:(fun ti ->
-        let id = task_ids.(ti) in
-        List.iter
-          (fun (c, _) -> if task_index.(c) < 0 then inline_subtree c)
-          (Rctree.Tree.children tree id);
-        compute id)
-  | _ -> Array.iter compute post);
-  if Obs.Control.on () then Obs.Span.flush ();
-  finish config ~t_start ~k ~peak ~total ~n
-    results.(Rctree.Tree.root tree).ev
-
 let run_tape ?pool ?(grain = default_grain) config ~model
     (tape : Compile.Tape.t) =
   let t_start = Unix.gettimeofday () in
   let k = config.samples in
   if k <= 0 then invalid_arg "Sample.Engine.run_tape: samples must be positive";
-  let check_time, check_count = make_checks config.budget ~t_start in
+  let check_time, check_count =
+    Bufins.Engine.make_checks config.budget ~t_start
+  in
   let n = tape.Compile.Tape.n in
   let peak = Atomic.make 0 in
   let total = Atomic.make 0 in
   let wire_variation = Varmodel.Model.wire_frac model > 0.0 in
-  (* Bind the tape to the model: consume device ids in tape edge order
-     (identical to [run]'s sequential pre-pass) and size the shared
-     sample matrix.  Only the ids are taken up front — each edge's
-     canonical forms are pure in (model, ids, coordinates) and are
-     built at the op that consumes them, keeping the walk's cache
-     locality instead of materialising every edge's forms ahead of
-     the whole DP. *)
+  (* Bind the tape to the model exactly as the canonical engine does,
+     so the matrix rows a device maps to — and hence the output bytes —
+     are independent of task scheduling, and size the shared sample
+     matrix to the last bound id. *)
   let nlib = Array.length config.library in
   let nedges = tape.Compile.Tape.edges in
   let ids_per_edge = (if wire_variation then 1 else 0) + nlib in
-  let device_base = Array.make (max nedges 1) (-1) in
+  let device_base = Bufins.Engine.bind_device_ids ~model ~ids_per_edge tape in
   let regions = Varmodel.Grid.regions (Varmodel.Model.grid model) in
-  let max_id = ref regions in
-  for e = 0 to nedges - 1 do
-    device_base.(e) <- Varmodel.Model.fresh_device_id model;
-    for _ = 2 to ids_per_edge do
-      ignore (Varmodel.Model.fresh_device_id model)
-    done;
-    max_id := device_base.(e) + ids_per_edge - 1
-  done;
-  let matrix = Matrix.create ~seed:config.seed ~k ~sources:(!max_id + 1) in
+  let max_id =
+    if nedges = 0 then regions
+    else device_base.(nedges - 1) + ids_per_edge - 1
+  in
+  let matrix = Matrix.create ~seed:config.seed ~k ~sources:(max_id + 1) in
+  (* Rows shared across subtree tasks (inter-die + spatial regions) are
+     drawn eagerly before any parallel phase; per-device rows are only
+     touched by the task owning the device's edge. *)
   Matrix.prefill matrix ~lo:0 ~hi:regions;
   let sites : Varmodel.Model.site option array = Array.make n None in
   let site_at id =
@@ -1453,6 +1227,8 @@ let run_tape ?pool ?(grain = default_grain) config ~model
     in
     { ef_wire; ef_buf }
   in
+  (* relax-scaled dominance threshold: a candidate is dropped when a
+     competitor ties-or-beats it in at least [need] of the K samples. *)
   let need =
     max 1 (int_of_float (ceil (config.relax *. float_of_int k)))
   in
@@ -1462,20 +1238,20 @@ let run_tape ?pool ?(grain = default_grain) config ~model
   let power_aware = Bufins.Dominance.power_aware config.power_objective in
   let eps = config.eps_power in
   let energies = energies_of config in
+  (* The convex pre-filter is sound only under full per-sample
+     dominance (need = k): relax > 1 disables pruning (brute-force
+     reference) and relax < 1 counts partial dominance, where a
+     pre-filtered row is not provably dropped.  Power-aware pruning
+     also disables it — cheaper-power rows must survive alongside the
+     best-timing one. *)
   let convex =
     config.insertion = Bufins.Engine.Convex_auto && need = k
     && not power_aware
   in
-  let parallel =
-    match pool with
-    | Some p -> Exec.Pool.jobs p > 1 && n > max 1 grain
-    | None -> false
-  in
-  let slot_of =
-    if parallel then Array.init n Fun.id else tape.Compile.Tape.slot
-  in
+  let sched = Compile.Tape.schedule ?pool ~grain tape in
+  let slot_of = sched.Compile.Tape.slot_of in
   let frontiers : frontier array =
-    Array.make (if parallel then n else tape.Compile.Tape.slots) empty_frontier
+    Array.make sched.Compile.Tape.slots empty_frontier
   in
   let ops = tape.Compile.Tape.ops in
   let exec_node id =
@@ -1511,7 +1287,7 @@ let run_tape ?pool ?(grain = default_grain) config ~model
                 frontiers.(slot_of.(child)) <- empty_frontier;
                 let l =
                   lift_rows config ~matrix ~k ~need ~power_aware ~eps
-                    ~energies ~convex ~same_types ~flip_types
+                    ~check_time ~energies ~convex ~same_types ~flip_types
                     ~forms:(forms_at edge) ~child
                     ~length:tape.Compile.Tape.edge_length.(edge) front
                 in
@@ -1521,13 +1297,10 @@ let run_tape ?pool ?(grain = default_grain) config ~model
                 incr nlift;
                 out := l
               | Compile.Tape.Merge { node } ->
+                let where = tape.Compile.Tape.where_merge.(node) in
                 let merged =
                   merge_frontiers ~k ~need ~power_aware ~eps ~node
-                    ~check:(fun c ->
-                      check_count ~where:tape.Compile.Tape.where_merge.(node)
-                        c;
-                      if c land 1023 = 0 then check_time ())
-                    !lifted0 !lifted1
+                    ~check:(check_count ~where) ~check_time !lifted0 !lifted1
                 in
                 lifted0 := empty_frontier;
                 lifted1 := empty_frontier;
@@ -1535,51 +1308,10 @@ let run_tape ?pool ?(grain = default_grain) config ~model
             done;
             !out)
   in
-  (match pool with
-  | Some pool when parallel ->
-    let grain = max 1 grain in
-    let size = tape.Compile.Tape.size in
-    let left = tape.Compile.Tape.left and right = tape.Compile.Tape.right in
-    let post = tape.Compile.Tape.post in
-    let ntasks = ref 0 in
-    let task_index = Array.make n (-1) in
-    Array.iter
-      (fun id ->
-        if size.(id) > grain then begin
-          task_index.(id) <- !ntasks;
-          incr ntasks
-        end)
-      post;
-    let task_ids = Array.make !ntasks 0 in
-    Array.iter
-      (fun id -> if task_index.(id) >= 0 then task_ids.(task_index.(id)) <- id)
-      post;
-    let deps =
-      Array.map
-        (fun id ->
-          let acc = ref [] in
-          (let r = right.(id) in
-           if r >= 0 && task_index.(r) >= 0 then acc := task_index.(r) :: !acc);
-          (let l = left.(id) in
-           if l >= 0 && task_index.(l) >= 0 then acc := task_index.(l) :: !acc);
-          Array.of_list !acc)
-        task_ids
-    in
-    let rec inline_subtree id =
-      (let l = left.(id) in
-       if l >= 0 then inline_subtree l);
-      (let r = right.(id) in
-       if r >= 0 then inline_subtree r);
-      exec_node id
-    in
-    Exec.Pool.run_graph pool ~deps ~run:(fun ti ->
-        let id = task_ids.(ti) in
-        (let l = left.(id) in
-         if l >= 0 && task_index.(l) < 0 then inline_subtree l);
-        (let r = right.(id) in
-         if r >= 0 && task_index.(r) < 0 then inline_subtree r);
-        exec_node id)
-  | _ -> Array.iter exec_node tape.Compile.Tape.post);
+  sched.Compile.Tape.run exec_node;
   if Obs.Control.on () then Obs.Span.flush ();
   finish config ~t_start ~k ~peak ~total ~n
     frontiers.(slot_of.(Compile.Tape.root tape)).ev
+
+let run ?pool ?grain config ~model tree =
+  run_tape ?pool ?grain config ~model (Compile.Tape.compile tree)

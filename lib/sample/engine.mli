@@ -19,8 +19,9 @@
     Output (assignment, per-sample root RATs, sampled yield figures)
     is byte-identical at any job count and with observability on or
     off: the sample matrix depends only on (seed, source id, K), the
-    device-id pre-pass and merge order are the canonical engine's, and
-    the pruning sweep is a stable sort plus a deterministic scan. *)
+    device-id binding ({!Bufins.Engine.bind_device_ids}) and merge
+    order are the canonical engine's, and the pruning sweep is a
+    stable sort plus a deterministic scan. *)
 
 type config = {
   tech : Device.Tech.t;
@@ -118,6 +119,7 @@ val sweep_rows :
   need:int ->
   power_aware:bool ->
   eps:float ->
+  check_time:(unit -> unit) ->
   load:float array ->
   rat:float array ->
   power:float array ->
@@ -130,7 +132,10 @@ val sweep_rows :
     stable order, dropping a candidate tie-or-beaten in at least
     [need] samples (and, when [power_aware], at no more
     {!Bufins.Dominance.power_le} energy at [eps]) by an earlier kept
-    one; otherwise every index in input order. *)
+    one; otherwise every index in input order.  The sweep calls
+    [check_time] once per 1024 candidates it visits, so the engines'
+    deadline can trip inside one long sweep; an exception it raises
+    aborts the sweep and leaves the domain's scratch arena reusable. *)
 
 val merge_rows :
   k:int ->
@@ -139,35 +144,22 @@ val merge_rows :
   eps:float ->
   node:int ->
   check:(int -> unit) ->
+  check_time:(unit -> unit) ->
   sol array ->
   sol array ->
   sol array
-(** [merge_rows ~k ~need ~power_aware ~eps ~node ~check a b] is one
+(** [merge_rows ~k ~need ~power_aware ~eps ~node ~check ~check_time a b]
+    is one
     subtree merge: the cross product of [a] and [b] (per-sample load
     sum, per-sample [Float.min] RAT, power sum, [Merged] trail at
     [node]) pruned by {!sweep_rows}'s sweep, with pair [(i, j)] at
     candidate index [na·nb − 1 − (i·nb + j)].  [check] runs once per
-    pair with the running pair count.  At [need = k] pairs that
+    pair with the running pair count, [check_time] once per 1024 pairs
+    and once per 1024 candidates the sweep visits.  At [need = k] pairs that
     provably die in the sweep are skipped before staging; the result
     is the sweep's over the explicit cross product either way. *)
 
 val default_grain : int
-
-val run :
-  ?pool:Exec.Pool.t ->
-  ?grain:int ->
-  config ->
-  model:Varmodel.Model.t ->
-  Rctree.Tree.t ->
-  result
-(** Optimise the tree on K sampled process corners.  Parallel subtree
-    decomposition, budgets and the deterministic device-id pre-pass
-    behave exactly as in {!Bufins.Engine.run}; the model's variation
-    mode filters which sources the samples see, so a [Nom] model makes
-    every sample identical.
-    @raise Bufins.Engine.Budget_exceeded when the configured budget
-    trips (the same exception, so serve's deadline mapping applies
-    unchanged). *)
 
 val run_tape :
   ?pool:Exec.Pool.t ->
@@ -176,10 +168,29 @@ val run_tape :
   model:Varmodel.Model.t ->
   Compile.Tape.t ->
   result
-(** Optimise a precompiled tape ({!Compile.Tape.compile}) instead of
-    walking the tree.  Device ids and matrix rows are bound in tape
-    edge order — identical to [run]'s sequential pre-pass — so the
-    result is byte-identical to [run] on the tape's source tree, at
-    any job count, for the same fresh model.
+(** Optimise a compiled tree ({!Compile.Tape.compile}) on K sampled
+    process corners.  The tape is bound to [model] by
+    {!Bufins.Engine.bind_device_ids} (so the model must be fresh), the
+    shared sample matrix is sized to the bound ids, and parallel
+    subtree decomposition ({!Compile.Tape.schedule}) and budgets behave
+    exactly as in {!Bufins.Engine.run_tape}: the result is
+    byte-identical at any job count.  The model's variation mode
+    filters which sources the samples see, so a [Nom] model makes
+    every sample identical.  The time budget is read at every node,
+    every 1024 merge pairs and every 1024 candidates a prune sweep
+    visits.
+    @raise Bufins.Engine.Budget_exceeded when the configured budget
+    trips (the same exception, so serve's deadline mapping applies
+    unchanged). *)
+
+val run :
+  ?pool:Exec.Pool.t ->
+  ?grain:int ->
+  config ->
+  model:Varmodel.Model.t ->
+  Rctree.Tree.t ->
+  result
+(** [run ?pool ?grain config ~model tree] is
+    [run_tape ?pool ?grain config ~model (Compile.Tape.compile tree)].
     @raise Bufins.Engine.Budget_exceeded when the configured budget
     trips. *)

@@ -25,7 +25,7 @@ def rows(path):
     for r in d.get("sample", {}).get("rows", []):
         out["sample/K=%d" % r["k"]] = r.get("ns_per_op")
     for r in d.get("tape", {}).get("rows", []):
-        for kind in ("tree", "cold", "warm"):
+        for kind in ("cold", "warm"):
             out["tape/%s/%s" % (r["name"], kind)] = r.get(kind + "_ns_per_op")
     for r in d.get("btypes", {}).get("rows", []):
         out["btypes/%s/b=%d" % (r["net"], r["b"])] = r.get("ns_per_op")

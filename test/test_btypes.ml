@@ -1,7 +1,7 @@
 (* Multi-type buffer library tests: the convex insertion step must be
    an optimisation, never a semantics change (Convex_auto ≡ Exhaustive
-   byte-for-byte wherever it engages, across engines, walk/tape, job
-   counts and obs), and the dual-polarity frontiers must only ever
+   byte-for-byte wherever it engages, across engines, job counts and
+   obs), and the dual-polarity frontiers must only ever
    choose assignments whose inverter chains restore sink polarity. *)
 
 let qcheck = Qseed.to_alcotest
@@ -137,9 +137,9 @@ let test_convex_equals_exhaustive () =
     rules
 
 let test_convex_tape_jobs_obs () =
-  (* One mean-exact rule on an inverter-bearing library: walk, tape,
-     jobs 1/2/4 and obs on/off must all land on the same bytes, in
-     both insertion modes. *)
+  (* One mean-exact rule on an inverter-bearing library: a fresh
+     compile, a reused tape, jobs 1/2/4 and obs on/off must all land on
+     the same bytes, in both insertion modes. *)
   let die = 4000.0 in
   let library = Device.Buffer.synth_library ~btypes:4 in
   let tree = Rctree.Generate.random_steiner ~seed:311 ~sinks:22 ~die_um:die () in
@@ -147,17 +147,17 @@ let test_convex_tape_jobs_obs () =
   List.iter
     (fun insertion ->
       let cfg = config ~library ~insertion () in
-      let walk =
+      let base =
         strip_result (Bufins.Engine.run cfg ~model:(model die) tree)
       in
       List.iter
         (fun obs ->
           with_obs obs (fun () ->
               Alcotest.(check bool)
-                (Printf.sprintf "tape=walk obs=%b" obs)
+                (Printf.sprintf "reused tape obs=%b" obs)
                 true
                 (strip_result (Bufins.Engine.run_tape cfg ~model:(model die) tape)
-                = walk);
+                = base);
               List.iter
                 (fun jobs ->
                   with_pool jobs (fun pool ->
@@ -167,7 +167,7 @@ let test_convex_tape_jobs_obs () =
                         (strip_result
                            (Bufins.Engine.run_tape ~pool ~grain:2 cfg
                               ~model:(model die) tape)
-                        = walk)))
+                        = base)))
                 [ 1; 2; 4 ]))
         [ false; true ])
     [ Bufins.Engine.Convex_auto; Bufins.Engine.Exhaustive ]

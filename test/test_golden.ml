@@ -3,7 +3,7 @@
    PR 3/8/9 enforced "new machinery must not move a byte of historical
    output" in the bench gates; this suite pins the same contract inside
    [dune runtest]: with the default objective ([max_yield]) and
-   [eps_power = 0], every rule x engine x jobs 1/2/4 x tape/walk x obs
+   [eps_power = 0], every rule x engine x sequential/jobs 1/2/4 x obs
    on/off run must reproduce the fingerprints captured from the
    pre-dominance-refactor seed (commit 620e644) exactly — %.17g floats,
    full assignment, candidate counts.  Any drift in the shared
@@ -30,27 +30,24 @@ let with_obs enabled f =
   Fun.protect f ~finally:(fun () ->
       if was then Obs.Control.enable () else Obs.Control.disable ())
 
-type mode = { tape : bool; jobs : int option; obs : bool }
+type mode = { jobs : int option; obs : bool }
 
-(* jobs 1/2/4 and the pool-less sequential path, walk and tape, obs on
-   and off all appear at least once. *)
+(* Every pairing of the pool-less sequential path or jobs 1/2/4 with
+   obs on and off. *)
 let variants =
-  [
-    { tape = false; jobs = None; obs = false };
-    { tape = false; jobs = Some 1; obs = true };
-    { tape = false; jobs = Some 2; obs = false };
-    { tape = false; jobs = Some 4; obs = true };
-    { tape = true; jobs = None; obs = true };
-    { tape = true; jobs = Some 1; obs = false };
-    { tape = true; jobs = Some 2; obs = true };
-    { tape = true; jobs = Some 4; obs = false };
-  ]
+  List.concat_map
+    (fun jobs -> [ { jobs; obs = false }; { jobs; obs = true } ])
+    [ None; Some 1; Some 2; Some 4 ]
 
 let variant_name m =
-  Printf.sprintf "%s jobs=%s obs=%b"
-    (if m.tape then "tape" else "walk")
+  Printf.sprintf "jobs=%s obs=%b"
     (match m.jobs with None -> "seq" | Some j -> string_of_int j)
     m.obs
+
+let with_mode m run =
+  match m.jobs with
+  | None -> run None
+  | Some jobs -> with_pool jobs (fun pool -> run (Some pool))
 
 let f17 = Printf.sprintf "%.17g"
 
@@ -102,18 +99,10 @@ let canonical_case ~rule ~library ~sinks ~seed m =
   let cfg =
     { (Bufins.Engine.default_config ~rule ()) with Bufins.Engine.tech; library }
   in
-  let run pool =
-    if m.tape then
-      Bufins.Engine.run_tape ?pool ~grain:2 cfg ~model:(model die)
-        (Compile.Tape.compile tree)
-    else Bufins.Engine.run ?pool ~grain:2 cfg ~model:(model die) tree
-  in
-  let r =
-    match m.jobs with
-    | None -> run None
-    | Some jobs -> with_pool jobs (fun pool -> run (Some pool))
-  in
-  fp_canonical r
+  fp_canonical
+    (with_mode m (fun pool ->
+         Bufins.Engine.run_tape ?pool ~grain:2 cfg ~model:(model die)
+           (Compile.Tape.compile tree)))
 
 let sample_case ~samples ~mseed ~relax ~library ~sinks ~seed m =
   let die = 4000.0 in
@@ -125,35 +114,19 @@ let sample_case ~samples ~mseed ~relax ~library ~sinks ~seed m =
       library;
     }
   in
-  let run pool =
-    if m.tape then
-      Sample.Engine.run_tape ?pool ~grain:2 cfg ~model:(model die)
-        (Compile.Tape.compile tree)
-    else Sample.Engine.run ?pool ~grain:2 cfg ~model:(model die) tree
-  in
-  let r =
-    match m.jobs with
-    | None -> run None
-    | Some jobs -> with_pool jobs (fun pool -> run (Some pool))
-  in
-  fp_sample r
+  fp_sample
+    (with_mode m (fun pool ->
+         Sample.Engine.run_tape ?pool ~grain:2 cfg ~model:(model die)
+           (Compile.Tape.compile tree)))
 
 let prob_case ~heuristic ~sinks ~seed m =
   let die = 4000.0 in
   let tree = Rctree.Generate.random_steiner ~seed ~sinks ~die_um:die () in
   let cfg = Bufins.Probabilistic.default_config ~heuristic () in
-  let run pool =
-    if m.tape then
-      Bufins.Probabilistic.run_tape ?pool ~grain:2 cfg
-        (Compile.Tape.compile tree)
-    else Bufins.Probabilistic.run ?pool ~grain:2 cfg tree
-  in
-  let r =
-    match m.jobs with
-    | None -> run None
-    | Some jobs -> with_pool jobs (fun pool -> run (Some pool))
-  in
-  fp_prob r
+  fp_prob
+    (with_mode m (fun pool ->
+         Bufins.Probabilistic.run_tape ?pool ~grain:2 cfg
+           (Compile.Tape.compile tree)))
 
 let cases =
   [
@@ -205,8 +178,8 @@ let cases =
         ~seed:306 );
   ]
 
-(* Captured from the seed (sequential walk, obs off) before the
-   dominance refactor; see the capture note at the top.  Empty while
+(* Captured from the seed (sequential, obs off) before the dominance
+   refactor; see the capture note at the top.  Empty while
    capturing. *)
 let expected : (string * string) list =
   [
@@ -240,7 +213,7 @@ let expected : (string * string) list =
 
 (* Capture helper: VARBUF_GOLDEN_DUMP=FILE writes the baseline
    fingerprints of every case, one "name<TAB>fingerprint" line each,
-   using the sequential tree-walk variant. *)
+   using the sequential obs-off variant. *)
 let () =
   match Sys.getenv_opt "VARBUF_GOLDEN_DUMP" with
   | None -> ()
@@ -249,7 +222,7 @@ let () =
     List.iter
       (fun (name, case) ->
         Printf.fprintf oc "%s\t%s\n" name
-          (case { tape = false; jobs = None; obs = false }))
+          (case { jobs = None; obs = false }))
       cases;
     close_out oc
 

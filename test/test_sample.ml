@@ -269,7 +269,8 @@ let prop_kernel_matches_reference =
   QCheck.Test.make ~count:1000
     ~name:"prune kernel = naive dominated-by-earlier-kept reference (kept order)"
     arb_kernel (fun (k, need, power_aware, eps, load, rat, power) ->
-      Sample.Engine.sweep_rows ~k ~need ~power_aware ~eps ~load ~rat ~power
+      Sample.Engine.sweep_rows ~k ~need ~power_aware ~eps ~check_time:ignore
+        ~load ~rat ~power
       = kernel_reference ~k ~need ~power_aware ~eps ~load ~rat ~power)
 
 (* Merge inputs: two sides of rows at a load level and a RAT level
@@ -374,7 +375,7 @@ let merge_agrees (k, need, power_aware, eps, a, b) =
   let na = Array.length sa and nb = Array.length sb in
   let got =
     Sample.Engine.merge_rows ~k ~need ~power_aware ~eps ~node:7
-      ~check:ignore sa sb
+      ~check:ignore ~check_time:ignore sa sb
   in
   (* Candidate [c] is pair number [ncand - 1 - c] in row-major
      order. *)
@@ -399,7 +400,8 @@ let merge_agrees (k, need, power_aware, eps, a, b) =
         sa.(i).Sample.Engine.power +. sb.(j).Sample.Engine.power)
   in
   let want =
-    Sample.Engine.sweep_rows ~k ~need ~power_aware ~eps ~load ~rat ~power
+    Sample.Engine.sweep_rows ~k ~need ~power_aware ~eps ~check_time:ignore
+      ~load ~rat ~power
   in
   let bits a = Array.map Int64.bits_of_float a in
   Array.length got = Array.length want
@@ -503,10 +505,6 @@ let test_merge_budget_trips () =
         | _ -> "completed"
         | exception Bufins.Engine.Budget_exceeded m -> m
       in
-      Alcotest.(check string)
-        (Printf.sprintf "walk, limit %d" limit)
-        expect
-        (msg (fun () -> Sample.Engine.run cfg ~model:(model die) tree));
       Alcotest.(check string)
         (Printf.sprintf "tape, limit %d" limit)
         expect
@@ -679,6 +677,67 @@ let test_v2_request_fields () =
   let off, len = Serve.Codec_bin.request_tree_span b in
   Alcotest.(check int) "tree is the payload tail" (String.length b) (off + len)
 
+(* ---------- the deadline inside a prune sweep ---------- *)
+
+(* [n] rows of [k] samples where load and RAT rise together, so no row
+   dominates another in any sample: the sweep keeps every row and
+   visits all [n] candidates. *)
+let incomparable_rows ~k n =
+  let load =
+    Array.init (n * k) (fun i ->
+        float_of_int (i / k) +. (0.001 *. float_of_int (i mod k)))
+  in
+  let rat = Array.init (n * k) (fun i -> float_of_int (i / k)) in
+  (load, rat, Array.make n 0.0)
+
+let sweep_incomparable ~k ~need ~check_time n =
+  let load, rat, power = incomparable_rows ~k n in
+  Sample.Engine.sweep_rows ~k ~need ~power_aware:false ~eps:0.0 ~check_time
+    ~load ~rat ~power
+
+let test_sweep_reads_clock () =
+  (* A sweep reads the deadline once per 1024 candidates it visits, at
+     need = K (mean-RAT index) and below it (kept scan) alike. *)
+  let k = 8 and n = 5000 in
+  List.iter
+    (fun need ->
+      let calls = ref 0 in
+      let kept =
+        sweep_incomparable ~k ~need ~check_time:(fun () -> incr calls) n
+      in
+      Alcotest.(check int) (Printf.sprintf "need=%d keeps every row" need) n
+        (Array.length kept);
+      Alcotest.(check int)
+        (Printf.sprintf "need=%d clock reads" need)
+        (n / 1024) !calls)
+    [ k; k - 1 ]
+
+let test_tripped_sweep_leaves_arena_reusable () =
+  (* A deadline raised mid-sweep leaves the domain's scratch arena with
+     a half-built kept block; the next sweep and the next engine run on
+     the same domain must not see it. *)
+  let die = 4000.0 in
+  let tree = Rctree.Generate.random_steiner ~seed:7 ~sinks:16 ~die_um:die () in
+  let run () = strip (Sample.Engine.run (config ()) ~model:(model die) tree) in
+  let before = run () in
+  let k = 8 and n = 5000 in
+  let whole = sweep_incomparable ~k ~need:k ~check_time:ignore n in
+  let calls = ref 0 in
+  (match
+     sweep_incomparable ~k ~need:k
+       ~check_time:(fun () ->
+         incr calls;
+         raise Exit)
+       n
+   with
+  | _ -> Alcotest.fail "the sweep never read the deadline"
+  | exception Exit -> ());
+  Alcotest.(check int) "tripped at the first clock read" 1 !calls;
+  Alcotest.(check bool) "engine run after the trip = before" true
+    (run () = before);
+  Alcotest.(check bool) "sweep after the trip = before" true
+    (sweep_incomparable ~k ~need:k ~check_time:ignore n = whole)
+
 let suite =
   [
     Alcotest.test_case "sample matrix is draw-order independent" `Quick
@@ -702,4 +761,8 @@ let suite =
     qcheck prop_merge_matches_cross_product;
     Alcotest.test_case "merge pair filter hand cases" `Quick
       test_merge_filter_cases;
+    Alcotest.test_case "prune sweep reads the deadline every 1024" `Quick
+      test_sweep_reads_clock;
+    Alcotest.test_case "tripped sweep leaves the arena reusable" `Quick
+      test_tripped_sweep_leaves_arena_reusable;
   ]
